@@ -28,7 +28,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Dict, List, Optional
 
 from . import ffpoly
@@ -58,7 +57,7 @@ from .globalfields import (
     random_idele,
     random_idele_bounded,
 )
-from .harmonic import fourier, indicator, random_step_function, verify_inversion
+from .harmonic import fourier, indicator
 from .localfields import (
     LAURENT,
     P_ADIC,
@@ -66,8 +65,8 @@ from .localfields import (
     base_field,
     validated_quadratics,
 )
-from .suite import local_field_roster, run_battery
-from .values import LogValue
+from .suite import check_inversion, check_lemmas, run_battery
+from .values import LogValue, is_prime
 import random
 
 
@@ -147,7 +146,7 @@ def parse_idele(field: GlobalFieldDesc, text: str) -> Idele:
             raise CLIError(f"idele component {part!r} needs selector:value")
         sel, val = part.rsplit(":", 1)
         if sel.startswith("inf"):
-            idx = int(sel[4:]) if "#" in sel else 0
+            idx = _parse_int(sel[4:], part) if "#" in sel else 0
             if field.is_function_field:
                 pls = places_above(field, INFINITY)
                 if idx >= len(pls):
@@ -157,14 +156,11 @@ def parse_idele(field: GlobalFieldDesc, text: str) -> Idele:
                 pls = archimedean_places(field)
                 if idx >= len(pls):
                     raise CLIError(f"no archimedean place #{idx}")
-                a = float(val)
-                if a <= 0:
-                    raise CLIError(f"archimedean component must be positive: {part!r}")
-                arch[pls[idx]] = a
+                arch[pls[idx]] = _positive_float(val, f"archimedean component {part!r}")
         elif sel.startswith("p"):
             body = sel[1:]
             enc, _, idx_s = body.partition("#")
-            idx = int(idx_s) if idx_s else 0
+            idx = _parse_int(idx_s, part) if idx_s else 0
             try:
                 enc_n = int(enc)
             except ValueError:
@@ -192,15 +188,28 @@ def _parse_int(val: str, ctx: str) -> int:
     try:
         return int(val)
     except ValueError:
-        raise CLIError(f"component of {ctx!r} must be an integer")
+        raise CLIError(f"expected an integer in {ctx!r}, got {val!r}")
+
+
+def _positive_float(text: str, what: str) -> float:
+    """A finite positive float; NaN, infinities and non-numbers are rejected."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise CLIError(f"{what} must be a number, got {text!r}")
+    if not (math.isfinite(x) and x > 0):
+        raise CLIError(f"{what} must be finite and positive, got {text!r}")
+    return x
 
 
 def parse_range(text: str) -> range:
     try:
-        lo, hi = text.split("..")
-        return range(int(lo), int(hi) + 1)
+        lo, hi = map(int, text.split(".."))
     except ValueError:
         raise CLIError(f"bad range {text!r}, expected like -3..3")
+    if lo > hi:
+        raise CLIError(f"empty range {text!r}: {lo} > {hi}")
+    return range(lo, hi + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -283,32 +292,17 @@ def _report_seed(rep, args) -> dict:
 
 
 def cmd_verify(args) -> int:
-    failed = 0
-    if args.what == "lemmas":
-        from .suite import check_lemmas
+    if args.what in ("lemmas", "inversion"):
+        if args.p is not None and not is_prime(args.p):
+            raise CLIError(f"--p {args.p} is not a prime")
         ps = (args.p,) if args.p else (2, 3, 5)
-        res = check_lemmas(ps=ps, m_range=(args.range_.start,
-                                           args.range_.stop - 1))
-        obj = res.to_json()
-        obj["seed"] = args.seed
-        emit(obj, args)
+        if args.what == "lemmas":
+            res = check_lemmas(ps=ps, m_range=(args.range_.start,
+                                               args.range_.stop - 1))
+        else:
+            res = check_inversion(seed=args.seed, per_field=args.count, ps=ps)
+        emit(_report_seed(res, args), args)
         return 0 if res.passed else 1
-
-    if args.what == "inversion":
-        rng = random.Random(args.seed)
-        ps = (args.p,) if args.p else (2, 3, 5)
-        for K in local_field_roster(ps):
-            for _ in range(args.count):
-                f = random_step_function(K, rng, coset_cap=81)
-                rep = verify_inversion(f)
-                if not rep.passed:
-                    failed += 1
-                    obj = rep.to_json()
-                    obj["seed"] = args.seed
-                    emit(obj, args)
-        emit({"check": "inversion", "pass": failed == 0, "seed": args.seed,
-              "count": args.count, "fields": len(local_field_roster(ps))}, args)
-        return 1 if failed else 0
 
     F = parse_field(args.field)
     params = _theta_params(args)
@@ -339,7 +333,10 @@ def cmd_verify(args) -> int:
             raise CLIError(f"unknown verification {args.what!r}")
     for rep in reports:
         emit(_report_seed(rep, args), args)
-    return 0 if all(r.passed for r in reports) else 1
+    if not reports:
+        emit({"check": args.what, "pass": False, "detail": "ran zero cases",
+              "seed": args.seed}, args)
+    return 0 if reports and all(r.passed for r in reports) else 1
 
 
 def cmd_suite(args) -> int:
@@ -359,6 +356,8 @@ def cmd_transform(args) -> int:
     try:
         K = base_field(args.p, kind)
         if args.quad_index is not None:
+            if args.quad_index < 0:
+                raise IndexError(f"negative --quad-index {args.quad_index}")
             K = validated_quadratics(args.p, kind)[args.quad_index]
     except (LocalFieldError, ValueError, IndexError) as exc:
         raise CLIError(f"bad local field: {exc}")
@@ -405,9 +404,10 @@ def build_parser() -> argparse.ArgumentParser:
         if idele:
             p.add_argument("--idele", default=None,
                            help='idele literal, e.g. "p5#0:-1,inf#0:2.5"')
-        p.add_argument("--tol", type=float, default=1e-10,
-                       help="theta tolerance (default 1e-10)")
-        p.add_argument("--max-radius", type=float, default=4096.0)
+        p.add_argument("--tol", type=lambda t: _positive_float(t, "--tol"),
+                       default=1e-10, help="theta tolerance (default 1e-10)")
+        p.add_argument("--max-radius", default=4096.0,
+                       type=lambda t: _positive_float(t, "--max-radius"))
         p.add_argument("--output", choices=("text", "json"), default="text")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None,
@@ -476,8 +476,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             extra.extend([f"--{k}", v])
         argv = argv[:1] + extra + argv[1:]
     parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         if args.command == "describe":
             return cmd_describe(args)
         if args.command in ("chi", "h0", "h1", "chi-rel"):

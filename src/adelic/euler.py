@@ -30,22 +30,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from .globalfields import (
-    HYPERELLIPTIC,
     INFINITY,
     QUADRATIC,
     RATFUNC,
     RATIONAL,
-    Divisor,
     GlobalFieldDesc,
     Idele,
     UnsupportedField,
     absolute_discriminant,
-    archimedean_places,
     different_exponent_at,
     divisor_of_idele,
     idele_log_norm,
@@ -180,24 +177,22 @@ def h0(field: GlobalFieldDesc, alpha: Idele,
     Number fields: a certified lattice theta sum (float remainder).
     F_q(t): exact, max(0, deg D + 1) * log q.
     """
-    if alpha.field != field:
-        raise UnsupportedField("idele belongs to a different field")
-    if field.kind in (RATIONAL, QUADRATIC):
-        lt, _ = theta_log_for_idele(alpha, params.tolerance, params.max_radius)
-        return LogValue.of_real(lt)
-    if field.kind == RATFUNC:
-        deg = divisor_of_idele(alpha).finite_degree()
-        ell = max(0, deg + 1)
-        return LogValue.log_of_int(field.q, scale=ell) if ell else LogValue.zero()
-    raise UnsupportedField(f"h0 unsupported on {field.describe()}")
+    return h0_with_count(field, alpha, params)[0]
 
 
 def h0_with_count(field: GlobalFieldDesc, alpha: Idele,
                   params: ThetaParams) -> tuple[LogValue, int]:
+    """h0 and the number of lattice points summed for it (0 off the theta route)."""
+    if alpha.field != field:
+        raise UnsupportedField("idele belongs to a different field")
     if field.kind in (RATIONAL, QUADRATIC):
         lt, n = theta_log_for_idele(alpha, params.tolerance, params.max_radius)
         return LogValue.of_real(lt), n
-    return h0(field, alpha, params), 0
+    if field.kind == RATFUNC:
+        deg = divisor_of_idele(alpha).finite_degree()
+        ell = max(0, deg + 1)
+        return (LogValue.log_of_int(field.q, scale=ell) if ell else LogValue.zero()), 0
+    raise UnsupportedField(f"h0 unsupported on {field.describe()}")
 
 
 def h1(field: GlobalFieldDesc, alpha: Idele,
@@ -233,12 +228,6 @@ def canonical_idele(field: GlobalFieldDesc) -> Idele:
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
-
-
-def _timed(fn):
-    start = time.perf_counter()
-    out = fn()
-    return out, (time.perf_counter() - start) * 1000.0
 
 
 def verify_rr(field: GlobalFieldDesc, alpha: Idele,

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
-from .values import factorize
+from .values import InvariantError, factorize
 
 Poly = Tuple[int, ...]
 
@@ -161,14 +161,6 @@ def padd(F: GF, f: Poly, g: Poly) -> Poly:
                  for i in range(n))
 
 
-def pneg(F: GF, f: Poly) -> Poly:
-    return tuple(F.neg(c) for c in f)
-
-
-def psub(F: GF, f: Poly, g: Poly) -> Poly:
-    return padd(F, f, pneg(F, g))
-
-
 def pmul(F: GF, f: Poly, g: Poly) -> Poly:
     if not f or not g:
         return ()
@@ -274,15 +266,9 @@ def pfactor(F: GF, f: Poly) -> Tuple[int, Dict[Poly, int]]:
             g = q
         if pdeg(g) == 0:
             break
-    assert g == (1,), f"incomplete factorization, residual {g}"
+    if g != (1,):
+        raise InvariantError(f"incomplete factorization, residual {g}")
     return unit, out
-
-
-def peval(F: GF, f: Poly, x: int) -> int:
-    out = 0
-    for c in reversed(f):
-        out = F.add(F.mul(out, x), c)
-    return out
 
 
 def euler_symbol(F: GF, f: Poly, pi: Poly) -> int:

@@ -30,7 +30,7 @@ from .localfields import (
     base_field,
     quadratic_extension,
 )
-from .values import LogValue, PosRealExact, factorize, is_prime
+from .values import InvariantError, LogValue, PosRealExact, factorize, is_prime
 
 INFINITY = "infinity"
 
@@ -153,10 +153,6 @@ class GlobalFieldDesc:
     @property
     def is_function_field(self) -> bool:
         return self.kind in (RATFUNC, HYPERELLIPTIC)
-
-    @property
-    def constant_char(self) -> int:
-        return gf(self.q).p
 
     def omega_params(self) -> Tuple[int, int]:
         """(trace, norm) of the integral generator omega of a quadratic field:
@@ -351,7 +347,8 @@ def _ramified_places_impl(field: GlobalFieldDesc) -> List[Place]:
         out = []
         for p in sorted(factorize(abs(field.disc))):
             pl, = places_above(field, p)
-            assert pl.splitting == RAMIFIED
+            if pl.splitting != RAMIFIED:
+                raise InvariantError(f"{p} divides the discriminant but is not ramified")
             out.append(pl)
         return out
     F = gf(field.q)
@@ -631,7 +628,8 @@ def principal_idele(field: GlobalFieldDesc, element) -> Idele:
                 vn -= 1
             places = places_above(field, p)
             if places[0].splitting == INERT:
-                assert vn % 2 == 0
+                if vn % 2:
+                    raise InvariantError(f"odd norm valuation {vn} at inert {p}")
                 if vn:
                     fin[places[0]] = vn // 2
             elif places[0].splitting == RAMIFIED:
@@ -651,7 +649,8 @@ def principal_idele(field: GlobalFieldDesc, element) -> Idele:
                     vals[0] = vn - vals[1]
                 if vals[1] is None:
                     vals[1] = vn - vals[0]
-                assert vals[0] + vals[1] == vn, (p, vals, vn)
+                if vals[0] + vals[1] != vn:
+                    raise InvariantError(f"split valuations {vals} at {p} miss norm {vn}")
                 for pl, v in zip(places, vals):
                     if v:
                         fin[pl] = v

@@ -49,17 +49,10 @@ class HarmonicError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _reduce_terms(p: int, terms: Dict[Fraction, Fraction]) -> Dict[Fraction, Fraction]:
-    """Canonical coordinates in the power basis of Q(zeta_{p^k}).
-
-    Angles must have p-power denominators.  Exponents >= (p-1)*p^(k-1) are
-    rewritten through the cyclotomic relation 1 + zeta^(p^(k-1)) + ... +
-    zeta^((p-1)p^(k-1)) = 0, which cancels exactly the full 1/p-cycles.
-    """
-    if not terms:
-        return {}
+def _p_power_denominator(p: int, angles: Iterable[Fraction]) -> int:
+    """The largest denominator among the angles, each a power of p."""
     D = 1
-    for r in terms:
+    for r in angles:
         den = r.denominator
         q = den
         while q % p == 0:
@@ -67,30 +60,36 @@ def _reduce_terms(p: int, terms: Dict[Fraction, Fraction]) -> Dict[Fraction, Fra
         if q != 1:
             raise HarmonicError(f"angle {r} has non-{p}-power denominator")
         D = max(D, den)
-    if D == 1:
-        c = terms.get(Fraction(0), Fraction(0))
-        return {Fraction(0): c} if c else {}
+    return D
+
+
+def _fold_cycles(p: int, D: int, work: Dict[int, object]) -> Dict[int, object]:
+    """Power-basis coordinates in Q(zeta_D) of sum c_m zeta_D^m, D a power of p.
+
+    Exponents >= (p-1)*D/p are rewritten through the cyclotomic relation
+    1 + zeta^(D/p) + ... + zeta^((p-1)D/p) = 0, which cancels exactly the
+    full 1/p-cycles; the rewritten exponents all fall below that bound, so
+    one pass suffices.  ``work`` (exponent -> int or Fraction) is consumed;
+    zero coefficients are dropped.  D = 1 has nothing to fold.
+    """
+    if D > 1:
+        step = D // p
+        bound = (p - 1) * step
+        for m in [m for m in work if m >= bound]:
+            c = work.pop(m)
+            for j in range(1, p):
+                work[m - j * step] = work.get(m - j * step, 0) - c
+    return {m: c for m, c in work.items() if c}
+
+
+def _reduce_terms(p: int, terms: Dict[Fraction, Fraction]) -> Dict[Fraction, Fraction]:
+    """Canonical coordinates in the power basis of Q(zeta_{p^k})."""
+    D = _p_power_denominator(p, terms)
     work: Dict[int, Fraction] = {}
     for r, c in terms.items():
-        m = int(r * D)
-        work[m] = work.get(m, Fraction(0)) + c
-    step = D // p
-    bound = (p - 1) * step
-    for m in sorted(work, reverse=True):
-        if m < bound:
-            break
-        c = work.get(m, Fraction(0))
-        if not c:
-            continue
-        del work[m]
-        for j in range(p - 1):
-            mm = m - (p - 1 - j) * step
-            work[mm] = work.get(mm, Fraction(0)) - c
-    out: Dict[Fraction, Fraction] = {}
-    for m, c in work.items():
-        if c:
-            out[Fraction(m, D)] = c
-    return out
+        m = r.numerator * (D // r.denominator)
+        work[m] = work.get(m, 0) + c
+    return {Fraction(m, D): c for m, c in _fold_cycles(p, D, work).items()}
 
 
 def _gauss_sqrt_terms(p: int) -> Dict[Fraction, Fraction]:
@@ -105,6 +104,18 @@ def _gauss_sqrt_terms(p: int) -> Dict[Fraction, Fraction]:
             for a in range(1, p)
         }
     raise HarmonicError(f"sqrt({p}) is not a {p}-power cyclotomic number")
+
+
+def _split_measure(m: PosRealExact) -> Tuple[Fraction, PosRealExact]:
+    """m = ratio * residual, ratio rational and residual exponents in [0, 1)."""
+    ratio = Fraction(1)
+    residual: Dict[int, Fraction] = {}
+    for q, e in m.exponents.items():
+        k = math.floor(e)
+        ratio *= Fraction(q) ** k
+        if e != k:
+            residual[q] = e - k
+    return ratio, PosRealExact(residual)
 
 
 class CycScalar:
@@ -161,23 +172,13 @@ class CycScalar:
         terms = _reduce_terms(self.p, self.terms)
         if not terms:
             return CycScalar._raw(self.p, {}, PosRealExact.one())
-        ratio = Fraction(1)
-        residual: Dict[int, Fraction] = {}
-        for q, e in self.measure_factor.exponents.items():
-            k = math.floor(e)
-            ratio *= Fraction(q) ** k
-            if e != k:
-                residual[q] = e - k
+        ratio, residual = _split_measure(self.measure_factor)
         if ratio != 1:
             terms = {r: c * ratio for r, c in terms.items()}
-        return CycScalar._raw(self.p, terms, PosRealExact(residual))
+        return CycScalar._raw(self.p, terms, residual)
 
     def is_zero(self) -> bool:
         return not _reduce_terms(self.p, self.terms)
-
-    def is_rational(self) -> bool:
-        c = self.canonical()
-        return (not c.terms) or set(c.terms) == {Fraction(0)}
 
     def as_rational(self) -> Fraction:
         """Exact rational value; raises when irrational."""
@@ -199,25 +200,15 @@ class CycScalar:
             return {}, b.terms, b.measure_factor
         if not b.terms:
             return a.terms, {}, a.measure_factor
-        ratio = (b.measure_factor / a.measure_factor).exponents
-        if all(e.denominator == 1 for e in ratio.values()):
-            scale = Fraction(1)
-            for q, e in ratio.items():
-                scale *= Fraction(q) ** int(e)
-            return a.terms, {r: c * scale for r, c in b.terms.items()}, a.measure_factor
-        # half-integer leftovers: try to absorb sqrt(q) as a Gauss sum
-        if all(q == self.p and (2 * e).denominator == 1 for q, e in ratio.items()):
-            e = ratio[self.p]
-            k = math.floor(e)
-            scale = Fraction(self.p) ** k
-            bt = {r: c * scale for r, c in b.terms.items()}
-            root = _gauss_sqrt_terms(self.p)  # may raise for p = 3 mod 4
-            bt2: Dict[Fraction, Fraction] = {}
-            for r, c in bt.items():
-                for rr, cc in root.items():
-                    key = (r + rr) % 1
-                    bt2[key] = bt2.get(key, Fraction(0)) + c * cc
-            return a.terms, bt2, a.measure_factor
+        scale, residual = _split_measure(b.measure_factor / a.measure_factor)
+        bt = CycScalar._raw(self.p, {r: c * scale for r, c in b.terms.items()},
+                            PosRealExact.one())
+        if residual.is_one():
+            return a.terms, bt.terms, a.measure_factor
+        # a sqrt(p) leftover: absorb it as a Gauss sum (raises for p = 3 mod 4)
+        if residual == PosRealExact.prime_power(self.p, Fraction(1, 2)):
+            root = CycScalar._raw(self.p, _gauss_sqrt_terms(self.p), PosRealExact.one())
+            return a.terms, (bt * root).terms, a.measure_factor
         raise HarmonicError(
             f"incompatible measure factors {a.measure_factor} / {b.measure_factor}")
 
@@ -253,11 +244,6 @@ class CycScalar:
 
     def scale_measure(self, m: PosRealExact) -> "CycScalar":
         return CycScalar._raw(self.p, self.terms, self.measure_factor * m)
-
-    def rotate(self, angle: UnitAngle) -> "CycScalar":
-        return CycScalar._raw(self.p,
-                              {(r + angle.r) % 1: c for r, c in self.terms.items()},
-                              self.measure_factor)
 
     def eq(self, other: "CycScalar") -> bool:
         try:
@@ -333,9 +319,6 @@ class StepFunction:
     def length(self) -> int:
         return self.support_bound + self.level
 
-    def coset_count(self) -> int:
-        return self.field.residue_card ** self.length
-
     def iter_cosets(self) -> Iterable[DigitVec]:
         return itertools.product(self.field.residue_reps(), repeat=self.length)
 
@@ -397,10 +380,6 @@ class StepFunction:
         return StepFunction(self.field, self.support_bound, self.level,
                             {k: v.scale_rational(q) for k, v in self.values.items()})
 
-    def coset_element(self, vec: DigitVec) -> LocalElement:
-        return LocalElement.from_digits(self.field, -self.support_bound, vec,
-                                        precision=math.inf)
-
 
 def indicator(field: LocalFieldDesc, m: int) -> StepFunction:
     """The characteristic function of pi^m O_v (value 1)."""
@@ -443,14 +422,9 @@ def character_coset_integral(field: LocalFieldDesc, m: int) -> CycScalar:
     # character sum over pi^m O / pi^(-d) O: the angle of a digit vector is
     # the sum of its per-position digit angles, so the distribution of
     # angles is a convolution over positions
-    positions = range(m, -d)
-    tables = []
-    D = 1
-    for s in positions:
-        angs = [_digit_angle(field, dg, s) for dg in field.residue_reps()]
-        for r in angs:
-            D = D * r.denominator // math.gcd(D, r.denominator)
-        tables.append(angs)
+    tables = [[_digit_angle(field, dg, s) for dg in field.residue_reps()]
+              for s in range(m, -d)]
+    D = _p_power_denominator(field.p, itertools.chain(*tables))
     hist = {0: 1}
     for angs in tables:
         new: Dict[int, int] = {}
@@ -487,13 +461,6 @@ def _kernel_angles(field: LocalFieldDesc, s: int) -> Tuple[Fraction, ...]:
     return tuple(out)
 
 
-def _digit_pair_coeffs(field: LocalFieldDesc, a, b) -> Tuple[int, int, int]:
-    """Integer coordinates of lift(a)*lift(b) on (1, theta, theta^2)."""
-    if field.f == 1:
-        return (a * b, 0, 0)
-    return (a[0] * b[0], a[0] * b[1] + a[1] * b[0], a[1] * b[1])
-
-
 def transform_shape(field: LocalFieldDesc, M: int, N: int) -> Tuple[int, int]:
     """(support bound, level) of the transform of an (M, N) step function.
 
@@ -510,94 +477,90 @@ def fourier(f: StepFunction) -> StepFunction:
 
     Linear in f; on indicators it reproduces the closed form
     (#k)^(-m) mu(O) * indicator(-m - d).
+
+    The angle of chi(-x y) is bilinear in the digit vectors: for
+    x = sum a_i pi^i and y = sum b_j pi^j it is the sum over i, j of
+    a_i^T K(i + j) b_j, where K(s) holds _kernel_angles(field, s) (the
+    (1, theta, theta^2) coordinates of lift(a) * lift(b) when f = 2).  So
+    each stored coset y fixes one integer linear form in the output digits,
+    built once, and the sum over y is integer bookkeeping in Z[zeta_D],
+    reduced once per output coset.
     """
     field = f.field
     p = field.p
     M, N = f.support_bound, f.level
     Mh, Nh = transform_shape(field, M, N)
-    in_pos = list(range(-M, N))
-    out_pos = list(range(-Mh, Nh))
+    in_pos = range(-M, N)
+    out_pos = range(-Mh, Nh)
     reps = field.residue_reps()
+    kernels = {i + j: _kernel_angles(field, i + j) for i in out_pos for j in in_pos}
+    D = _p_power_denominator(
+        p, itertools.chain(*kernels.values(), *(v.terms for v in f.values.values())))
+    L = math.lcm(1, *(c.denominator for v in f.values.values() for c in v.terms.values()))
 
-    smin = (out_pos[0] + in_pos[0]) if in_pos and out_pos else 0
-    smax = (out_pos[-1] + in_pos[-1]) if in_pos and out_pos else 0
-    kernels = {s: _kernel_angles(field, s) for s in range(smin, smax + 1)}
+    # pair[s][b][k]: the angle of chi(-lift(reps[k]) lift(b) pi^s), times D.
+    # For f = 2, lift(a) lift(b) = a0 b0 + (a0 b1 + a1 b0) theta + a1 b1 theta^2
+    pair = {}
+    for s, A in kernels.items():
+        A = [int(r * D) for r in A]
+        if field.f == 1:
+            pair[s] = {b: [a * b * A[0] for a in reps] for b in reps}
+        else:
+            pair[s] = {(b0, b1): [a0 * w0 + a1 * w1 for a0, a1 in reps]
+                       for b0, b1 in reps
+                       for w0, w1 in [(b0 * A[0] + b1 * A[1], b0 * A[1] + b1 * A[2])]}
 
-    # common denominator for all angles that can appear
-    D = 1
-    for angs in kernels.values():
-        for r in angs:
-            D = D * r.denominator // math.gcd(D, r.denominator)
-    for v in f.values.values():
-        for r in v.terms:
-            D = D * r.denominator // math.gcd(D, r.denominator)
-
-    kint = {s: tuple(int(r * D) % D for r in angs) for s, angs in kernels.items()}
-    mu = coset_measure(field, N)
-
-    # integer-scale the coefficients of f once: all the per-coset work below
-    # is then pure integer arithmetic
-    L = 1
-    for val in f.values.values():
-        for c in val.terms.values():
-            L = L * c.denominator // math.gcd(L, c.denominator)
-    items = []
-    mf_of: Dict = {}
+    # per measure factor, one flat integer table indexed by
+    # (output coset in product order) * D + exponent of zeta_D
+    n_out = len(reps) ** len(out_pos)
+    tables: Dict[PosRealExact, List[int]] = {}
     for yvec, val in f.values.items():
-        key = _mf_key(val.measure_factor)
-        mf_of[key] = val.measure_factor
-        terms = tuple((int(r * D) % D, int(c * L)) for r, c in val.terms.items())
-        items.append((tuple(_rep_index(field, dg) for dg in yvec), key, terms))
-    Linv = Fraction(1, L)
-
-    out_values: Dict[DigitVec, CycScalar] = {}
-    deg2 = field.rel_degree == 2
-    for xvec in itertools.product(reps, repeat=len(out_pos)):
-        # rows[j_idx][rep_idx] = angle contribution of the y-digit at position j
-        rows = []
-        for j in in_pos:
-            row = []
-            for b in reps:
-                tot = 0
-                for i, a in zip(out_pos, xvec):
-                    n1, nw, nw2 = _digit_pair_coeffs(field, a, b)
-                    A = kint[i + j]
-                    tot += n1 * A[0]
-                    if deg2:
-                        tot += nw * A[1] + nw2 * A[2]
-                row.append(tot % D)
-            rows.append(row)
-        # accumulate sum_y f(y) * zeta^(angle(x, y)) per measure factor
-        acc: Dict = {}
-        for yidx, key, terms in items:
-            ang = 0
-            for j_idx, ridx in enumerate(yidx):
-                ang += rows[j_idx][ridx]
-            ang %= D
-            arr = acc.get(key)
-            if arr is None:
-                arr = acc[key] = [0] * D
+        angles = [0]  # the linear form of y, on every output coset
+        for i in out_pos:
+            contrib = [0] * len(reps)
+            for j, b in zip(in_pos, yvec):
+                contrib = [c + e for c, e in zip(contrib, pair[i + j][b])]
+            angles = [s + c for s in angles for c in contrib]
+        terms = [(r.numerator * (D // r.denominator), int(c * L))
+                 for r, c in val.terms.items()]
+        table = tables.get(val.measure_factor)
+        if table is None:
+            table = tables[val.measure_factor] = [0] * (n_out * D)
+        base = 0
+        for ang in angles:
             for m, c in terms:
-                arr[(m + ang) % D] += c
-        total = CycScalar.zero(p)
-        for key, arr in acc.items():
-            terms = {Fraction(m, D): Fraction(arr[m]) * Linv
-                     for m in range(D) if arr[m]}
-            total = total + CycScalar._raw(p, terms, mf_of[key])
-        total = total.scale_measure(mu).canonical()
-        if not total.is_zero():
-            out_values[xvec] = total
+                table[base + (ang + m) % D] += c
+            base += D
+
+    # fold the rational part of mf * mu into one coefficient scale per group
+    mu = coset_measure(field, N)
+    groups = []
+    for mf, table in tables.items():
+        ratio, residual = _split_measure(mf * mu)
+        scale = ratio / L
+        groups.append((table, scale.numerator, scale.denominator, residual))
+    angle_of: Dict[int, Fraction] = {}
+    out_values: Dict[DigitVec, CycScalar] = {}
+    for xi, xvec in enumerate(itertools.product(reps, repeat=len(out_pos))):
+        lo = xi * D
+        parts = []
+        for table, num, den, residual in groups:
+            work = _fold_cycles(p, D, {m: c for m, c in enumerate(table[lo:lo + D]) if c})
+            if work:
+                terms = {}
+                for m, c in work.items():
+                    r = angle_of.get(m)
+                    if r is None:
+                        r = angle_of[m] = Fraction(m, D)
+                    terms[r] = Fraction(c * num, den)
+                parts.append(CycScalar._raw(p, terms, residual))
+        if len(parts) == 1:
+            out_values[xvec] = parts[0]
+        elif parts:
+            total = sum(parts[1:], parts[0]).canonical()
+            if total.terms:
+                out_values[xvec] = total
     return StepFunction(field, Mh, Nh, out_values)
-
-
-def _rep_index(field: LocalFieldDesc, digit) -> int:
-    if field.f == 1:
-        return digit
-    return digit[0] * field.p + digit[1]
-
-
-def _mf_key(m: PosRealExact):
-    return tuple(sorted(m.exponents.items()))
 
 
 @lru_cache(maxsize=200_000)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple, Union
 
-from .values import PosRealExact, is_prime
+from .values import InvariantError, PosRealExact, is_prime
 
 DEFAULT_DIGITS = 32
 
@@ -335,7 +335,8 @@ def quadratic_extension(base: LocalFieldDesc, b, c) -> LocalFieldDesc:
             raise InvalidDefiningPolynomial(
                 "x^2 - u over Q_2 is validated only for u = 3 mod 4 "
                 "(u = 1 mod 8 splits; u = 5 mod 8 needs the unramified shape)")
-        assert vdisc == 2
+        if vdisc != 2:
+            raise InvariantError(f"x^2 - u, u = 3 mod 4: disc valuation {vdisc} != 2")
         # uniformizer 1 + theta, N(1 + theta) = 1 + c has valuation 1
         return LocalFieldDesc(p, base.base_kind, 2, (b, c), 2, 1, 2,
                               (_scalar(base, 1), _scalar(base, 1)), 1)
@@ -398,9 +399,11 @@ def _cval(field: LocalFieldDesc, x: Coords):
     b, c = field.poly
     norm = x0 * x0 - b * x0 * x1 + c * x1 * x1
     vn = _sval(norm, field.p)
-    assert vn is not None, "norm of a nonzero element vanished"
+    if vn is None:
+        raise InvariantError("norm of a nonzero element vanished")
     if field.e == 1:
-        assert vn % 2 == 0
+        if vn % 2:
+            raise InvariantError(f"odd norm valuation {vn} in an unramified field")
         return vn // 2
     return vn
 
@@ -466,10 +469,6 @@ def _expand_digits(field: LocalFieldDesc, coords: Coords, start: int, count: int
 # ---------------------------------------------------------------------------
 
 
-def _zero_digit(field: LocalFieldDesc):
-    return 0 if field.f == 1 else (0, 0)
-
-
 class LocalElement:
     """An element of a local field: exact coordinate representative plus a
     precision level.  ``digits`` is the expansion in the designated
@@ -533,9 +532,6 @@ class LocalElement:
 
     # -- views ----------------------------------------------------------------
 
-    def is_exact(self) -> bool:
-        return self.precision == math.inf
-
     def is_zero(self) -> bool:
         """True when the representative is exactly zero (the zero sentinel)."""
         return self._val is None
@@ -552,13 +548,6 @@ class LocalElement:
         if self.precision != math.inf:
             count = max(0, min(count, int(self.precision) - self._val))
         return _expand_digits(self.field, self.coords, self._val, count)
-
-    def digits_from(self, start: int, count: int) -> Tuple:
-        if self._val is not None and self._val < start:
-            raise ValueError(f"element has valuation {self._val} < {start}")
-        if self._val is None:
-            return (_zero_digit(self.field),) * count
-        return _expand_digits(self.field, self.coords, start, count)
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -651,9 +640,6 @@ class UnitAngle:
 
     def __repr__(self) -> str:
         return f"e(2pi*i*{self.r})"
-
-
-ANGLE_ZERO = UnitAngle(Fraction(0))
 
 
 # ---------------------------------------------------------------------------

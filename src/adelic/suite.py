@@ -13,15 +13,12 @@ import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Callable, Dict, List, Tuple
 
 from . import ffpoly
 from .ffpoly import gf
 from .euler import (
     ThetaParams,
-    canonical_idele,
-    chi,
     h0,
     verify_poisson,
     verify_rr,
@@ -30,14 +27,11 @@ from .euler import (
 )
 from .globalfields import (
     INFINITY,
-    Divisor,
     GlobalFieldDesc,
     Idele,
-    divisor_of_idele,
-    idele_from_divisor,
-    idele_log_norm,
     local_discriminant_desc,
     places_above,
+    UnsupportedField,
     ramified_finite_places,
     random_idele,
     random_idele_bounded,
@@ -84,8 +78,11 @@ class SuiteResult:
 
 
 def _wrap(name: str, fn: Callable[[], Tuple[bool, str, int, dict]]) -> SuiteResult:
+    """Run one check; a check that ran zero cases fails rather than passing."""
     start = time.perf_counter()
     passed, detail, checks, extra = fn()
+    if passed and checks == 0:
+        passed, detail = False, "ran zero cases"
     return SuiteResult(name, passed, detail, (time.perf_counter() - start) * 1e3,
                        checks, extra)
 
@@ -180,7 +177,7 @@ def check_disc_product(dmax: int = 50) -> SuiteResult:
                 continue
             try:
                 K = GlobalFieldDesc.quadratic(d)
-            except Exception:
+            except UnsupportedField:
                 continue  # not squarefree
             local = PosRealExact.one()
             for pl in ramified_finite_places(K):

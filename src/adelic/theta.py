@@ -27,7 +27,6 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
-from .ffpoly import gf
 from .globalfields import (
     INFINITY,
     QUADRATIC,
@@ -66,10 +65,6 @@ class FractionalIdeal:
 
     def norm(self) -> Fraction:
         return Fraction(self.a * self.c, self.den ** 2)
-
-    def contains_one(self) -> bool:
-        # 1 = (x*a + y*b)/den + (y*c/den) omega requires y*c = 0 and a | den
-        return self.den % self.a == 0
 
 
 def _hnf2(cols: List[Tuple[int, int]]) -> Tuple[int, int, int]:

@@ -12,7 +12,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Dict, Iterable, Tuple
+from typing import Dict
+
+
+class InvariantError(RuntimeError):
+    """An internal invariant failed: a defect in the library, not bad input."""
 
 
 def factorize(n: int) -> Dict[int, int]:
@@ -81,9 +85,6 @@ class PosRealExact:
     @property
     def exponents(self) -> Dict[int, Fraction]:
         return dict(self._e)
-
-    def exponent_of(self, p: int) -> Fraction:
-        return self._e.get(p, Fraction(0))
 
     def is_one(self) -> bool:
         return not self._e
@@ -173,15 +174,6 @@ class LogValue:
     def coeffs(self) -> Dict[int, Fraction]:
         return dict(self._c)
 
-    def coeff_of(self, p: int) -> Fraction:
-        return self._c.get(p, Fraction(0))
-
-    def is_symbolic(self) -> bool:
-        return self.real == 0.0
-
-    def symbolic_part(self) -> "LogValue":
-        return LogValue(dict(self._c))
-
     def __float__(self) -> float:
         return math.fsum(float(c) * math.log(p) for p, c in self._c.items()) + self.real
 
@@ -228,10 +220,3 @@ class LogValue:
         if self.real != 0.0 or not parts:
             parts.append(f"{self.real!r}")
         return " + ".join(parts)
-
-
-def logvalue_sum(values: Iterable[LogValue]) -> LogValue:
-    total = LogValue.zero()
-    for v in values:
-        total = total + v
-    return total

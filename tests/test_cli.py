@@ -161,3 +161,49 @@ def test_suite_fast(capsys):
     assert {"lemmas", "inversion", "disc-product", "rr", "rr-rel", "serre",
             "poisson", "ff-sections", "theta-oracle",
             "negative-control"} <= names
+
+
+@pytest.mark.parametrize("argv", [
+    ("h0", "--tol", "0"),
+    ("h0", "--tol", "nan"),
+    ("h0", "--tol=-1e-3"),
+    ("h0", "--max-radius", "-0.5"),
+    ("h0", "--tol", "abc"),
+    ("h0", "--max-radius", "inf"),
+    ("h0", "--max-radius", "nan"),
+    ("h0", "--idele", "inf#0:abc"),
+    ("h0", "--idele", "inf#0:nan"),
+    ("h0", "--idele", "inf#0:inf"),
+    ("chi", "--idele", "inf#x:2"),
+    ("chi", "--idele", "p5#y:1"),
+    ("verify", "lemmas", "--range", "5..-5"),
+    ("verify", "lemmas", "--range", "abc"),
+    ("verify", "inversion", "--p", "4"),
+    ("transform", "--p", "2", "--quad-index=-1"),
+    ("transform", "--p", "2", "--quad-index", "5"),
+])
+def test_bad_numeric_input_exits_2_with_one_line(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2, (argv, out, err)
+    assert len(err.strip().splitlines()) == 1, err
+    assert "Traceback" not in err
+
+
+def test_verify_inversion_cli_matches_suite(capsys):
+    code, out, _ = run(capsys, "verify", "inversion", "--p", "2", "--count", "3",
+                       "--seed", "5", "--output", "json")
+    assert code == 0
+    obj = json_lines(out)[0]
+    assert obj["check"] == "inversion" and obj["pass"] is True
+    assert obj["checks"] == 3 * 8 and obj["seed"] == 5  # 8 fields over p = 2
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "inversion", "--count", "0"),
+    ("verify", "rr", "--count", "0"),
+])
+def test_verify_that_ran_nothing_fails(capsys, argv):
+    code, out, _ = run(capsys, *argv, "--output", "json")
+    assert code == 1
+    obj = json_lines(out)[-1]
+    assert obj["pass"] is False and "zero cases" in obj["detail"]

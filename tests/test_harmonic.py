@@ -282,3 +282,67 @@ def test_negate_coset_involution():
         start = -f.support_bound
         for vec in list(f.values)[:5]:
             assert negate_coset(K, start, negate_coset(K, start, vec)) == vec
+
+
+# -- an independent oracle for the transform on general step functions -------------
+
+
+def direct_transform_value(f, xvec):
+    """mu(pi^N O) * sum_y f(y) chi(-x y) from field arithmetic and the
+    standard character alone.  Any coset representatives will do: x y moves
+    by at most pi^(-d) O, where chi is trivial."""
+    K = f.field
+    Mh, _ = transform_shape(K, f.support_bound, f.level)
+    x = LocalElement.from_digits(K, -Mh, xvec, precision=math.inf)
+    total = CycScalar.zero(K.p)
+    for yvec, val in f.values.items():
+        y = LocalElement.from_digits(K, -f.support_bound, yvec, precision=math.inf)
+        total = total + val * CycScalar.from_angle(K.p, standard_character(-(x * y)))
+    mu = PosRealExact.prime_power(K.p, -K.f * f.level) * local_measure(K)
+    return total.scale_measure(mu)
+
+
+def random_cyc_step_function(K, rng, M, N, max_cosets=5):
+    """Values with p-power angles, rational coefficients and a shared
+    half-integral measure factor."""
+    mf = PosRealExact.prime_power(K.p, Fraction(rng.randint(-2, 2), 2))
+    values = {}
+    for _ in range(rng.randint(1, max_cosets)):
+        vec = tuple(rng.choice(K.residue_reps()) for _ in range(M + N))
+        terms = {Fraction(rng.randrange(K.p ** 2), K.p ** 2):
+                 Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+                 for _ in range(rng.randint(1, 3))}
+        values[vec] = CycScalar(K.p, terms, mf)
+    return StepFunction(K, M, N, values)
+
+
+ORACLE_FIELDS = [
+    base_field(3),                                      # Q_p
+    base_field(2, LAURENT),                             # F_p((t))
+    validated_quadratics(3, P_ADIC)[0],                 # unramified, f = 2
+    quadratic_extension(base_field(3), 0, -3),          # odd ramified, d = 1
+    quadratic_extension(base_field(2), 0, 1),           # 2-adic ramified, d = 2
+    quadratic_extension(base_field(2), 0, -2),          # 2-adic ramified, d = 3
+]
+
+
+@pytest.mark.parametrize("K", ORACLE_FIELDS, ids=lambda K: K.describe())
+def test_fourier_matches_direct_character_sum(K):
+    rng = random.Random(K.describe())
+    shapes = [(0, 0), (0, 0)] + [
+        (M, N) for M in range(-1, 3) for N in range(-1, 3)
+        if M + N >= 0 and K.residue_card ** (M + N) <= 27] * 2
+    functions = [StepFunction(K, 1, 0, {})]
+    functions += [random_cyc_step_function(K, rng, M, N) for M, N in shapes]
+    functions += [random_step_function(K, rng, coset_cap=27) for _ in range(4)]
+    for f in functions:
+        g = fourier(f)
+        assert (g.support_bound, g.level) == transform_shape(K, f.support_bound, f.level)
+        for xvec in g.iter_cosets():
+            want = direct_transform_value(f, xvec)
+            got = g.values.get(xvec)
+            if want.is_zero():
+                assert got is None, (K.describe(), f.support_bound, f.level, xvec)
+            else:
+                assert got is not None and got.eq(want), \
+                    (K.describe(), f.support_bound, f.level, xvec)

@@ -1,0 +1,74 @@
+"""Source hygiene of the library, checked with the stdlib ``ast`` module.
+
+Invariants are raised as typed exceptions, never ``assert``ed, because
+``python -O`` strips asserts.  Every import is used: names that only a
+string annotation or ``__all__`` mentions count as used.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "adelic"
+MODULES = sorted(SRC.glob("*.py"))
+
+
+def _names(node):
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            try:
+                out |= _names(ast.parse(n.value, mode="eval"))
+            except SyntaxError:
+                pass
+    return out
+
+
+def _used_names(tree):
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for n in ast.walk(tree):
+        if isinstance(n, ast.arg):
+            annotations = [n.annotation]
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            annotations = [n.returns]
+        elif isinstance(n, ast.AnnAssign):
+            annotations = [n.annotation]
+        else:
+            annotations = []
+        for a in annotations:
+            if a is not None:
+                used |= _names(a)
+        if isinstance(n, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in n.targets):
+            used |= {e.value for e in n.value.elts}
+    return used
+
+
+def test_modules_found():
+    assert len(MODULES) >= 9
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_assert_statements(path):
+    tree = ast.parse(path.read_text())
+    lines = [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
+    assert not lines, f"{path.name}: assert on lines {lines}; raise a typed error"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    tree = ast.parse(path.read_text())
+    used = _used_names(tree)
+    unused = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{name} (line {node.lineno})")
+    assert not unused, f"{path.name}: unused imports {unused}"
