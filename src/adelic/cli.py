@@ -453,12 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse chokes on option values with a leading dash ("--range -3..3")
-    for i in range(len(argv) - 1):
-        if argv[i] == "--range" and argv[i + 1].startswith("-"):
-            argv[i] = f"--range={argv[i + 1]}"
-            del argv[i + 1]
-            break
     # a config file mirrors flags; inject its entries before the explicit
     # flags so the command line wins on conflicts
     if "--config" in argv:
@@ -475,9 +469,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         for k, v in cfg.items():
             extra.extend([f"--{k}", v])
         argv = argv[:1] + extra + argv[1:]
+    # argparse takes a value such as "-1e-3" or "-3..3" for an option, so
+    # bind every value that starts with "-" and a digit or "." to its flag
+    bound: List[str] = []
+    for tok in argv:
+        if bound and bound[-1].startswith("--") and "=" not in bound[-1] \
+                and len(tok) > 1 and tok[0] == "-" and (tok[1].isdigit() or tok[1] == "."):
+            bound[-1] = f"{bound[-1]}={tok}"
+        else:
+            bound.append(tok)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(bound)
         if args.command == "describe":
             return cmd_describe(args)
         if args.command in ("chi", "h0", "h1", "chi-rel"):

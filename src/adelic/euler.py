@@ -32,7 +32,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List
 
 from .globalfields import (
     INFINITY,
@@ -46,6 +46,7 @@ from .globalfields import (
     different_exponent_at,
     divisor_of_idele,
     idele_log_norm,
+    omega_embeddings,
     places_above,
     ramified_finite_places,
     relative_discriminant_norm,
@@ -99,8 +100,6 @@ class TestFunctionSpec:
     idele: Idele
 
     def arch_weight(self, element) -> float:
-        from .theta import omega_embeddings
-
         arch = self.idele.arch
         if self.field.kind == RATIONAL:
             x = float(Fraction(element))
@@ -294,22 +293,21 @@ def verify_serre(field: GlobalFieldDesc, alpha: Idele,
 
 def verify_poisson(field: GlobalFieldDesc, alpha: Idele,
                    params: ThetaParams = DEFAULT_PARAMS,
-                   check_tol: float = 1e-10,
-                   base: Optional[GlobalFieldDesc] = None) -> Report:
+                   check_tol: float = 1e-10) -> Report:
     """The summation identity behind Riemann-Roch, two-sided and direct:
 
         -1/2 log d_{L/K} - log|alpha| + h0(D_{alpha kappa}) = h0(D_{alpha^-1})
 
-    Both h0 values are independent truncated lattice sums; no chi is used.
-    The constant on the left is the log of the relative measure of O_L
-    (-1/2 log 5 for Q(sqrt 5) over Q, zero for Q itself).
+    with K the prime field.  Both h0 values are independent truncated
+    lattice sums; no chi is used.  The constant on the left is the log of
+    the relative measure of O_L (-1/2 log 5 for Q(sqrt 5) over Q, zero for
+    Q itself).
     """
     if field.kind not in (RATIONAL, QUADRATIC):
         raise UnsupportedField("poisson verification needs theta support")
-    base = base or field.prime_field
     start = time.perf_counter()
     kappa = canonical_idele(field)
-    const = relative_discriminant_norm(field, base).log() * Fraction(-1, 2)
+    const = relative_discriminant_norm(field, field.prime_field).log() * Fraction(-1, 2)
     lhs_h0, n1 = h0_with_count(field, alpha * kappa, params)
     lhs = const - idele_log_norm(alpha) + lhs_h0
     rhs, n2 = h0_with_count(field, alpha.inv(), params)

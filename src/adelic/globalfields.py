@@ -27,6 +27,8 @@ from .ffpoly import Poly, gf
 from .localfields import (
     P_ADIC,
     LocalFieldDesc,
+    _sres,
+    _sval,
     base_field,
     quadratic_extension,
 )
@@ -271,7 +273,7 @@ def _places_above_impl(field: GlobalFieldDesc, below) -> List[Place]:
         if not is_prime(p):
             raise UnsupportedField(f"{below} is not a prime")
         D = field.disc
-        t, n = field.omega_params()
+        t, _ = field.omega_params()
         sym = kronecker_of_disc(D, p)
         if sym == 1:
             if p == 2:
@@ -568,17 +570,15 @@ def idele_log_norm(alpha: Idele) -> LogValue:
 # ---------------------------------------------------------------------------
 
 
-def _lift_omega_root(field: GlobalFieldDesc, p: int, r0: int, modulus: int) -> int:
-    """Newton-lift a simple root of x^2 - t x + n from mod p to mod p^K."""
-    t, n = field.omega_params()
-    r = r0 % p
-    mod = p
-    while mod < modulus:
-        mod = min(mod * mod, modulus)
-        fr = (r * r - t * r + n) % mod
-        dr = (2 * r - t) % mod
-        r = (r - fr * pow(dr, -1, mod)) % mod
-    return r % modulus
+def omega_embeddings(field: GlobalFieldDesc) -> List[complex]:
+    """The images of omega at the archimedean places, in their order."""
+    t, _ = field.omega_params()
+    D = field.disc
+    if field.d > 0:
+        s = math.sqrt(D)
+        return [complex((t + s) / 2), complex((t - s) / 2)]
+    s = math.sqrt(-D)
+    return [complex(t / 2, s / 2)]
 
 
 def principal_idele(field: GlobalFieldDesc, element) -> Idele:
@@ -587,23 +587,18 @@ def principal_idele(field: GlobalFieldDesc, element) -> Idele:
     Element formats: a rational for Q; a pair (a, b) of rationals meaning
     a + b*omega for quadratic fields; a pair (numerator, denominator) of
     F_q[t] polynomials for rational function fields.
+
+    A split prime p = P P' of a quadratic field, P = (p, omega - r), is
+    settled by one residue (Dedekind-Kummer): write x = p^k u with
+    k = min(v_p(a), v_p(b)); then u lies in at most one of P, P', and in P
+    iff a' + b' r = 0 mod p.  That place takes v_p(N x) - k, the other k.
     """
     if field.kind == RATIONAL:
         x = Fraction(element)
         if x == 0:
             raise GlobalFieldError("the zero element has no idele")
-        fin = {}
-        for p in set(factorize(abs(x.numerator))) | set(factorize(x.denominator)):
-            v = 0
-            num, den = x.numerator, x.denominator
-            while num % p == 0:
-                num //= p
-                v += 1
-            while den % p == 0:
-                den //= p
-                v -= 1
-            pl, = places_above(field, p)
-            fin[pl] = v
+        primes = set(factorize(abs(x.numerator))) | set(factorize(x.denominator))
+        fin = {places_above(field, p)[0]: _sval(x, p) for p in primes}
         pl_inf, = places_above(field, INFINITY)
         return Idele.make(field, fin, {pl_inf: abs(float(x))})
 
@@ -613,57 +608,30 @@ def principal_idele(field: GlobalFieldDesc, element) -> Idele:
             raise GlobalFieldError("the zero element has no idele")
         t, n = field.omega_params()
         norm = a * a + a * b * t + b * b * n
-        den = a.denominator * b.denominator // math.gcd(a.denominator, b.denominator)
         fin: Dict[Place, int] = {}
-        prime_set = set(factorize(abs(norm.numerator))) | \
-            set(factorize(norm.denominator)) | set(factorize(den))
-        for p in sorted(prime_set):
-            vn = 0
-            num_, den_ = norm.numerator, norm.denominator
-            while num_ % p == 0:
-                num_ //= p
-                vn += 1
-            while den_ % p == 0:
-                den_ //= p
-                vn -= 1
+        primes = set(factorize(abs(norm.numerator))) | set(factorize(norm.denominator)) \
+            | set(factorize(a.denominator)) | set(factorize(b.denominator))
+        for p in primes:
+            vn = _sval(norm, p)
             places = places_above(field, p)
             if places[0].splitting == INERT:
                 if vn % 2:
                     raise InvariantError(f"odd norm valuation {vn} at inert {p}")
-                if vn:
-                    fin[places[0]] = vn // 2
+                fin[places[0]] = vn // 2
             elif places[0].splitting == RAMIFIED:
-                if vn:
-                    fin[places[0]] = vn
+                fin[places[0]] = vn
             else:
-                # split: localize a + b*omega through each root embedding
-                K = abs(vn) + max(0, 2 * _vp_rat(den, p)) + 3
-                modulus = p ** K
-                vals = []
-                for pl in places:
-                    r = _lift_omega_root(field, p, pl.root, modulus)
-                    z = a + b * Fraction(r)
-                    vals.append(_vp_rat_bounded(z, p, K))
-                # valuations must account for the full norm valuation
-                if vals[0] is None:
-                    vals[0] = vn - vals[1]
-                if vals[1] is None:
-                    vals[1] = vn - vals[0]
-                if vals[0] + vals[1] != vn:
-                    raise InvariantError(f"split valuations {vals} at {p} miss norm {vn}")
-                for pl, v in zip(places, vals):
-                    if v:
-                        fin[pl] = v
-        arch: Dict[Place, float] = {}
-        sq = math.sqrt(abs(field.d))
+                k = min(v for v in (_sval(a, p), _sval(b, p)) if v is not None)
+                pk = Fraction(p) ** k
+                P, P2 = places
+                in_P = (_sres(a / pk, p) + _sres(b / pk, p) * P.root) % p == 0
+                fin[P], fin[P2] = (vn - k, k) if in_P else (k, vn - k)
+        pls = places_above(field, INFINITY)
         if field.d > 0:
-            w0 = (t + math.sqrt(field.disc)) / 2
-            w1 = (t - math.sqrt(field.disc)) / 2
-            for pl, w in zip(places_above(field, INFINITY), (w0, w1)):
-                arch[pl] = abs(float(a) + float(b) * w)
+            arch = {pl: abs(float(a) + float(b) * w.real)
+                    for pl, w in zip(pls, omega_embeddings(field))}
         else:
-            pl, = places_above(field, INFINITY)
-            arch[pl] = math.sqrt(float(abs(norm)))
+            arch = {pls[0]: math.sqrt(float(abs(norm)))}
         return Idele.make(field, fin, arch)
 
     if field.kind == RATFUNC:
@@ -688,39 +656,15 @@ def principal_idele(field: GlobalFieldDesc, element) -> Idele:
     raise UnsupportedField(f"principal ideles unsupported on {field.describe()}")
 
 
-def _vp_rat(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def _vp_rat_bounded(x: Fraction, p: int, bound: int):
-    """v_p of a rational, or None when it is >= bound (unresolved lift)."""
-    if x == 0:
-        return None
-    v = 0
-    num, den = x.numerator, x.denominator
-    while den % p == 0:
-        den //= p
-        v -= 1
-    while num % p == 0 and v < bound:
-        num //= p
-        v += 1
-    return v if v < bound else None
-
-
 # ---------------------------------------------------------------------------
 # random ideles (seeded; used by verification suites)
 # ---------------------------------------------------------------------------
 
 
 def random_idele(field: GlobalFieldDesc, rng, max_val: int = 3,
-                 arch_span: float = 1.5, max_places: int = 3) -> Idele:
+                 max_places: int = 3) -> Idele:
     fin: Dict[Place, int] = {}
     if field.is_function_field:
-        F = gf(field.q)
         pool = [pi for pi in ffpoly.monic_irreducibles(field.q, 2)]
         rng.shuffle(pool)
         for pi in pool[: rng.randint(0, max_places)]:
@@ -746,12 +690,11 @@ def random_idele(field: GlobalFieldDesc, rng, max_val: int = 3,
     arch = {}
     for pl in archimedean_places(field):
         if rng.random() < 0.8:
-            arch[pl] = math.exp(rng.uniform(-arch_span, arch_span))
+            arch[pl] = math.exp(rng.uniform(-1.5, 1.5))
     return Idele.make(field, fin, arch)
 
 
-def random_idele_bounded(field: GlobalFieldDesc, rng, bound: float = 5.0,
-                         max_val: int = 2, max_places: int = 2) -> Idele:
+def random_idele_bounded(field: GlobalFieldDesc, rng, bound: float = 5.0) -> Idele:
     """A random idele with |log|alpha|| <= bound.
 
     For number fields the archimedean components are set to steer the
@@ -760,11 +703,11 @@ def random_idele_bounded(field: GlobalFieldDesc, rng, bound: float = 5.0,
     """
     if field.is_function_field:
         for _ in range(200):
-            al = random_idele(field, rng, max_val=max_val, max_places=max_places)
+            al = random_idele(field, rng, max_val=2, max_places=2)
             if abs(float(idele_log_norm(al))) <= bound:
                 return al
         raise GlobalFieldError("could not sample a bounded idele")
-    al = random_idele(field, rng, max_val=max_val, max_places=max_places)
+    al = random_idele(field, rng, max_val=2, max_places=2)
     fin = al.finite
     fin_norm = float(idele_log_norm(Idele.make(field, fin)))
     target = rng.uniform(-bound, bound)

@@ -39,6 +39,8 @@ from .localfields import (
 )
 from .values import PosRealExact
 
+REFINE_CAP = 200_000  # largest dense table StepFunction.refine enumerates
+
 
 class HarmonicError(Exception):
     pass
@@ -126,7 +128,11 @@ class CycScalar:
     def __init__(self, p: int, terms: Dict[Fraction, Fraction],
                  measure_factor: PosRealExact | None = None):
         self.p = p
-        self.terms = {Fraction(r) % 1: Fraction(c) for r, c in terms.items() if c}
+        acc: Dict[Fraction, Fraction] = {}
+        for r, c in terms.items():
+            r = Fraction(r) % 1
+            acc[r] = acc.get(r, 0) + Fraction(c)
+        self.terms = {r: c for r, c in acc.items() if c}
         self.measure_factor = measure_factor or PosRealExact.one()
 
     # -- constructors --------------------------------------------------------
@@ -339,12 +345,12 @@ class StepFunction:
         zero = 0 if self.field.f == 1 else (0, 0)
         return self.values.get((zero,) * self.length, CycScalar.zero(self.field.p))
 
-    def refine(self, M2: int, N2: int, dense_cap: int = 200_000) -> "StepFunction":
+    def refine(self, M2: int, N2: int) -> "StepFunction":
         if M2 < self.support_bound or N2 < self.level:
             raise HarmonicError("refinement must not coarsen the table")
         if M2 == self.support_bound and N2 == self.level:
             return self
-        if self.field.residue_card ** (M2 + N2) > dense_cap:
+        if self.field.residue_card ** (M2 + N2) > REFINE_CAP:
             raise HarmonicError("refinement too large to enumerate")
         vals: Dict[DigitVec, CycScalar] = {}
         for vec in itertools.product(self.field.residue_reps(), repeat=M2 + N2):
@@ -618,20 +624,18 @@ def verify_inversion(f: StepFunction,
     return InversionReport(field, not witnesses, len(keys), witnesses)
 
 
-def random_step_function(field: LocalFieldDesc, rng, max_bound: int = 2,
-                         max_level: int = 2, coset_cap: int = 256,
-                         max_cosets: int = 10) -> StepFunction:
-    """A random sparse step function with M <= max_bound, N <= max_level.
+def random_step_function(field: LocalFieldDesc, rng,
+                         coset_cap: int = 256) -> StepFunction:
+    """A random sparse step function with M, N <= 2 and 1..10 stored cosets.
 
     The coset count (#k)^(M+N) is capped so double transforms stay cheap.
     """
     R = field.residue_card
-    shapes = [(m, n) for m in range(max_bound + 1) for n in range(max_level + 1)
-              if R ** (m + n) <= coset_cap]
+    shapes = [(m, n) for m in range(3) for n in range(3) if R ** (m + n) <= coset_cap]
     M, N = rng.choice(shapes)
     reps = field.residue_reps()
     values: Dict[DigitVec, CycScalar] = {}
-    for _ in range(rng.randint(1, max_cosets)):
+    for _ in range(rng.randint(1, 10)):
         vec = tuple(rng.choice(reps) for _ in range(M + N))
         num = rng.choice([x for x in range(-9, 10) if x])
         den = rng.choice([1, 1, 2, 3, 4])

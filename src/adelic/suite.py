@@ -284,7 +284,6 @@ def check_poisson(theta_tol: float = 1e-12, check_tol: float = 1e-10) -> SuiteRe
 
 
 def _ff_place_pools(q: int):
-    F = gf(q)
     linears = [pi for pi in ffpoly.monic_irreducibles(q, 1)]
     quads = [pi for pi in ffpoly.monic_irreducibles(q, 2) if ffpoly.pdeg(pi) == 2]
     if q == 2:

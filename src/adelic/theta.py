@@ -35,6 +35,7 @@ from .globalfields import (
     GlobalFieldError,
     Idele,
     Place,
+    omega_embeddings,
     places_above,
 )
 
@@ -183,16 +184,6 @@ def ideal_for_idele(alpha: Idele) -> FractionalIdeal:
 # ---------------------------------------------------------------------------
 
 
-def omega_embeddings(field: GlobalFieldDesc) -> List[complex]:
-    t, _ = field.omega_params()
-    D = field.disc
-    if field.d > 0:
-        s = math.sqrt(D)
-        return [complex((t + s) / 2), complex((t - s) / 2)]
-    s = math.sqrt(-D)
-    return [complex(t / 2, s / 2)]
-
-
 def embedding_matrix(field: GlobalFieldDesc, ideal: FractionalIdeal,
                      arch: Dict[Place, float]) -> np.ndarray:
     """Rows: scaled real embeddings; Q(x) = pi * ||E x||^2."""
@@ -248,7 +239,7 @@ def _gauss_reduce(E: np.ndarray) -> np.ndarray:
             c1, c2 = c2, c1
         n1 = float(c1 @ c1)
         if n1 == 0.0:
-            raise GlobalFieldError("embedding matrix is singular")
+            raise GlobalFieldError("embedding matrix is singular in double precision")
         mu = round(float(c1 @ c2) / n1)
         if mu == 0:
             break
@@ -257,31 +248,42 @@ def _gauss_reduce(E: np.ndarray) -> np.ndarray:
 
 
 def theta_log_sum(E: np.ndarray, tol: float, max_radius: float) -> Tuple[float, int]:
-    """(log of the lattice Gaussian sum, lattice points evaluated)."""
+    """(log of the lattice Gaussian sum, lattice points evaluated).
+
+    Reduction and the smallest eigenvalue scale with E, so they run on E/s,
+    s the power of two just above its largest entry (exact, no overflow);
+    a weight whose exponent overflows to inf is exactly 0.
+    """
+    top = float(np.abs(E).max())
+    if not math.isfinite(top):
+        raise GlobalFieldError("embedding matrix is not finite "
+                               "(archimedean component out of range)")
+    s = math.ldexp(1.0, math.frexp(top)[1])
+    Es = E / s
     if E.shape[1] == 2:
-        E = _gauss_reduce(E)
-    G = E.T @ E
-    lam = float(np.linalg.eigvalsh(G).min()) * 0.999
+        Es = _gauss_reduce(Es)
+        E = Es * s
+    lam = float(np.linalg.eigvalsh(Es.T @ Es).min()) * s * s * 0.999
     if lam <= 0:
-        raise GlobalFieldError("embedding matrix is singular")
+        raise GlobalFieldError("embedding matrix is singular in double precision")
     rank = E.shape[1]
     B = certified_box(lam, rank, tol * 0.25, max_radius)
-    if rank == 1:
-        xs = np.arange(-B, B + 1, dtype=float)
-        q = math.pi * (E[0, 0] * xs) ** 2
-        total = float(np.exp(-q).sum())
-        return math.log(total), xs.size
-    ys = np.arange(-B, B + 1, dtype=float)
-    e00, e01 = float(E[0, 0]), float(E[0, 1])
-    e10, e11 = float(E[1, 0]), float(E[1, 1])
-    total = 0.0
-    points = 0
-    for x in range(-B, B + 1):
-        r0 = e00 * x + e01 * ys
-        r1 = e10 * x + e11 * ys
-        q = math.pi * (r0 * r0 + r1 * r1)
-        total += float(np.exp(-q).sum())
-        points += ys.size
+    with np.errstate(over="ignore"):
+        if rank == 1:
+            xs = np.arange(-B, B + 1, dtype=float)
+            q = math.pi * (E[0, 0] * xs) ** 2
+            return math.log(float(np.exp(-q).sum())), xs.size
+        ys = np.arange(-B, B + 1, dtype=float)
+        e00, e01 = float(E[0, 0]), float(E[0, 1])
+        e10, e11 = float(E[1, 0]), float(E[1, 1])
+        total = 0.0
+        points = 0
+        for x in range(-B, B + 1):
+            r0 = e00 * x + e01 * ys
+            r1 = e10 * x + e11 * ys
+            q = math.pi * (r0 * r0 + r1 * r1)
+            total += float(np.exp(-q).sum())
+            points += ys.size
     return math.log(total), points
 
 

@@ -1,4 +1,6 @@
 import json
+import math
+import warnings
 
 import pytest
 
@@ -181,12 +183,38 @@ def test_suite_fast(capsys):
     ("verify", "inversion", "--p", "4"),
     ("transform", "--p", "2", "--quad-index=-1"),
     ("transform", "--p", "2", "--quad-index", "5"),
+    ("h0", "--tol", "-1e-3"),
+    ("h0", "--max-radius", "-1e3"),
 ])
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2, (argv, out, err)
     assert len(err.strip().splitlines()) == 1, err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("field, idele, h0", [
+    ("Q", "inf#0:1e-320", None),
+    ("Q(i)", "inf#0:1e-320", None),
+    ("Q(sqrt5)", "inf#0:1e-200", None),
+    ("Q(i)", "inf#0:1e-200", 0.0),
+    ("Q", "inf#0:1e-300", 0.0),
+])
+def test_h0_extreme_archimedean_component(capsys, field, idele, h0):
+    # either a finite h0 and a clean stderr, or exit 2 with one line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "h0", "--field", field, "--idele", idele,
+                             "--output", "json")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Traceback" not in err and len(err.strip().splitlines()) <= 1
+    if code == 0:
+        value = json_lines(out)[0]["result"]["value"]
+        assert math.isfinite(value) and not err
+    else:
+        assert code == 2 and err.strip()
+    if h0 is not None:
+        assert code == 0 and value == h0
 
 
 def test_verify_inversion_cli_matches_suite(capsys):

@@ -25,6 +25,7 @@ from adelic.globalfields import (
     random_idele_bounded,
     relative_discriminant_norm,
 )
+from adelic.theta import ideal_mul, ideal_pow, prime_ideal
 from adelic.values import LogValue, PosRealExact
 
 Q = GlobalFieldDesc.rationals()
@@ -260,6 +261,51 @@ def test_principal_idele_split_valuations():
     al = principal_idele(Qi, (2, 1))
     vals = sorted(al.finite.get(pl, 0) for pl in pls)
     assert vals == [0, 1]
+
+
+def _in_ideal(ideal, a, b):
+    """a + b*omega lies in (1/den)(Z(a0, 0) + Z(b0, c0)) (HNF membership)."""
+    y = ideal.den * b / ideal.c
+    if y.denominator != 1:
+        return False
+    return ((ideal.den * a - y * ideal.b) / ideal.a).denominator == 1
+
+
+def test_split_valuations_match_ideal_membership():
+    # v_P(x) is the largest k with x in P^k P'^-e, where p^e and an integer
+    # s prime to p clear the denominators of s*x; decided by the HNF ideal
+    # arithmetic of theta, independently of the residue rule
+    rng = random.Random(31)
+    seen = 0
+    for d in (-1, 5, -7, 17):
+        F = GlobalFieldDesc.quadratic(d)
+        for p in (2, 3, 5, 7, 11, 13, 19, 29):
+            pls = places_above(F, p)
+            if pls[0].splitting != "split":
+                continue
+            for _ in range(10):
+                # half of the elements are steered into P or P'
+                b = rng.randint(-9, 9)
+                a = -b * rng.choice(pls).root + p * rng.randint(-3, 3) \
+                    if rng.random() < 0.5 else rng.randint(-9, 9)
+                scale = Fraction(p) ** rng.randint(-2, 2) / rng.choice([1, 2, 3])
+                a, b = a * scale, b * scale
+                if a == b == 0:
+                    continue
+                al = principal_idele(F, (a, b))
+                den = math.lcm(a.denominator, b.denominator)
+                e = 0
+                while den % p == 0:
+                    den //= p
+                    e += 1
+                for pl, other in (pls, pls[::-1]):
+                    v = al.finite.get(pl, 0)
+                    P, away = prime_ideal(pl), ideal_pow(prime_ideal(other), -e)
+                    for k, inside in ((v, True), (v + 1, False)):
+                        J = ideal_mul(ideal_pow(P, k), away)
+                        assert _in_ideal(J, a * den, b * den) == inside, (d, a, b, pl, k)
+                seen += al.finite.get(pls[0], 0) != al.finite.get(pls[1], 0)
+    assert seen >= 50  # many elements separate P from P'
 
 
 def test_random_idele_bounded():

@@ -56,6 +56,7 @@ def test_cyc_rational_canonical_form():
     c = x.canonical()
     assert c.terms == {Fraction(0): Fraction(3)}
     assert x.as_rational() == 3
+    assert CycScalar(3, {0: 1, 1: 1}).as_rational() == 2  # equal angles mod 1 add
 
 
 def test_cyc_full_cycle_cancels():

@@ -72,3 +72,25 @@ def test_no_unused_imports(path):
                 if name not in used:
                     unused.append(f"{name} (line {node.lineno})")
     assert not unused, f"{path.name}: unused imports {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_local_assigned_and_never_read(path):
+    # a name a function stores and never loads is dead; "_"-prefixed names
+    # are deliberate discards
+    tree = ast.parse(path.read_text())
+    dead = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, loaded = {}, set()
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
+                stored.setdefault(n.id, n.lineno)
+            elif isinstance(n, ast.Name):
+                loaded.add(n.id)
+            elif isinstance(n, (ast.Global, ast.Nonlocal)):
+                loaded.update(n.names)
+        dead += [f"{name} in {fn.name} (line {line})" for name, line in stored.items()
+                 if name not in loaded and not name.startswith("_")]
+    assert not dead, f"{path.name}: assigned, never read: {dead}"
