@@ -232,12 +232,22 @@ class Place:
 
 
 def _sqrt_mod_p(a: int, p: int) -> int:
-    """Smallest square root of a modulo an odd prime (brute force; p small)."""
+    """A square root of a nonzero square a modulo an odd prime (Tonelli-Shanks)."""
     a %= p
-    for r in range((p + 1) // 2 + 1):
-        if r * r % p == a:
-            return r
-    raise ValueError(f"{a} is not a square mod {p}")
+    if pow(a, (p - 1) // 2, p) != 1:
+        raise ValueError(f"{a} is not a square mod {p}")
+    q, s = p - 1, 0  # p - 1 = q 2^s, q odd
+    while q % 2 == 0:
+        q, s = q // 2, s + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    while t != 1:  # t has order 2^i, i < s
+        i, t2 = 0, t
+        while t2 != 1:
+            i, t2 = i + 1, t2 * t2 % p
+        b = pow(c, 1 << (s - i - 1), p)
+        s, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
 
 
 def places_above(field: GlobalFieldDesc, below) -> List[Place]:

@@ -8,16 +8,20 @@ normalized by mu(O_v) = p^(-d/2) the Fourier transform is an exact
 involution up to reflection, and the classical coset-integral formulas are
 reproduced by honest character sums.
 
-Scalars canonicalize in the power basis of the p^k-th cyclotomic field
-(full 1/p-cycles of equal coefficients cancel), which decides vanishing of
-the character sums exactly; a complex-float evaluation is kept around as a
-numeric cross-check, not as the arbiter.
+Every scalar is canonical from construction on: its angle terms are
+coordinates in the power basis of the p^k-th cyclotomic field (full
+1/p-cycles of equal coefficients cancel, zero coefficients are dropped) and
+its measure factor has only exponents in [0, 1).  Vanishing of a character
+sum is therefore decided exactly, by an empty term table; a complex-float
+evaluation is kept around as a numeric cross-check, not as the arbiter.
+Step-function tables likewise never store a zero value.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
@@ -38,8 +42,6 @@ from .localfields import (
     standard_character,
 )
 from .values import PosRealExact
-
-REFINE_CAP = 200_000  # largest dense table StepFunction.refine enumerates
 
 
 class HarmonicError(Exception):
@@ -71,8 +73,8 @@ def _fold_cycles(p: int, D: int, work: Dict[int, object]) -> Dict[int, object]:
     Exponents >= (p-1)*D/p are rewritten through the cyclotomic relation
     1 + zeta^(D/p) + ... + zeta^((p-1)D/p) = 0, which cancels exactly the
     full 1/p-cycles; the rewritten exponents all fall below that bound, so
-    one pass suffices.  ``work`` (exponent -> int or Fraction) is consumed;
-    zero coefficients are dropped.  D = 1 has nothing to fold.
+    one pass suffices.  ``work`` (exponent in [0, D) -> int or Fraction) is
+    consumed; zero coefficients are dropped.  D = 1 has nothing to fold.
     """
     if D > 1:
         step = D // p
@@ -82,16 +84,6 @@ def _fold_cycles(p: int, D: int, work: Dict[int, object]) -> Dict[int, object]:
             for j in range(1, p):
                 work[m - j * step] = work.get(m - j * step, 0) - c
     return {m: c for m, c in work.items() if c}
-
-
-def _reduce_terms(p: int, terms: Dict[Fraction, Fraction]) -> Dict[Fraction, Fraction]:
-    """Canonical coordinates in the power basis of Q(zeta_{p^k})."""
-    D = _p_power_denominator(p, terms)
-    work: Dict[int, Fraction] = {}
-    for r, c in terms.items():
-        m = r.numerator * (D // r.denominator)
-        work[m] = work.get(m, 0) + c
-    return {Fraction(m, D): c for m, c in _fold_cycles(p, D, work).items()}
 
 
 def _gauss_sqrt_terms(p: int) -> Dict[Fraction, Fraction]:
@@ -121,38 +113,44 @@ def _split_measure(m: PosRealExact) -> Tuple[Fraction, PosRealExact]:
 
 
 class CycScalar:
-    """(sum over angles r of c_r * e^{2 pi i r}) * measure_factor, exact."""
+    """(sum over angles r of c_r * e^{2 pi i r}) * measure_factor, exact.
+
+    Canonical by construction: the constructor sums angles equal mod 1,
+    folds the terms into the cyclotomic power basis, drops zero
+    coefficients and moves the rational part of the measure factor into the
+    coefficients; zero has measure factor 1.  Under one measure factor the
+    term table is then unique, and every operation keeps the form.
+    """
 
     __slots__ = ("p", "terms", "measure_factor")
 
     def __init__(self, p: int, terms: Dict[Fraction, Fraction],
                  measure_factor: PosRealExact | None = None):
         self.p = p
-        acc: Dict[Fraction, Fraction] = {}
-        for r, c in terms.items():
-            r = Fraction(r) % 1
-            acc[r] = acc.get(r, 0) + Fraction(c)
-        self.terms = {r: c for r, c in acc.items() if c}
-        self.measure_factor = measure_factor or PosRealExact.one()
+        angles = [(Fraction(r), Fraction(c)) for r, c in terms.items()]
+        D = _p_power_denominator(p, (r for r, _ in angles))
+        work: Dict[int, Fraction] = {}
+        for r, c in angles:
+            m = r.numerator * (D // r.denominator) % D
+            work[m] = work.get(m, 0) + c
+        self.terms = {Fraction(m, D): c for m, c in _fold_cycles(p, D, work).items()}
+        self.measure_factor = PosRealExact.one()
+        if self.terms and measure_factor is not None:
+            ratio, self.measure_factor = _split_measure(measure_factor)
+            if ratio != 1:
+                self.terms = {r: c * ratio for r, c in self.terms.items()}
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def _raw(cls, p: int, terms: Dict[Fraction, Fraction],
              measure_factor: PosRealExact) -> "CycScalar":
-        """Internal: terms must already be normalized (keys in [0,1), no
-        zero coefficients)."""
+        """Internal: terms and measure factor must already be canonical."""
         obj = object.__new__(cls)
         obj.p = p
         obj.terms = terms
         obj.measure_factor = measure_factor
         return obj
-
-    @classmethod
-    def _cleaned(cls, p: int, terms: Dict[Fraction, Fraction],
-                 measure_factor: PosRealExact) -> "CycScalar":
-        """Internal: normalized keys, but zero coefficients still present."""
-        return cls._raw(p, {r: c for r, c in terms.items() if c}, measure_factor)
 
     @classmethod
     def zero(cls, p: int) -> "CycScalar":
@@ -173,27 +171,19 @@ class CycScalar:
     # -- canonical form ---------------------------------------------------------
 
     def canonical(self) -> "CycScalar":
-        """Fold the rational part of the measure into the coefficients and
-        reduce the angle terms in the cyclotomic power basis."""
-        terms = _reduce_terms(self.p, self.terms)
-        if not terms:
-            return CycScalar._raw(self.p, {}, PosRealExact.one())
-        ratio, residual = _split_measure(self.measure_factor)
-        if ratio != 1:
-            terms = {r: c * ratio for r, c in terms.items()}
-        return CycScalar._raw(self.p, terms, residual)
+        """The canonical form, which every scalar already is."""
+        return self
 
     def is_zero(self) -> bool:
-        return not _reduce_terms(self.p, self.terms)
+        return not self.terms
 
     def as_rational(self) -> Fraction:
         """Exact rational value; raises when irrational."""
-        c = self.canonical()
-        if not c.terms:
+        if not self.terms:
             return Fraction(0)
-        if set(c.terms) != {Fraction(0)} or not c.measure_factor.is_rational():
+        if set(self.terms) != {Fraction(0)} or not self.measure_factor.is_one():
             raise HarmonicError(f"{self} is not rational")
-        return c.terms[Fraction(0)] * c.measure_factor.as_fraction()
+        return self.terms[Fraction(0)]
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -201,29 +191,31 @@ class CycScalar:
         """Rewrite both scalars over a common measure factor, if possible."""
         if self.measure_factor == other.measure_factor:
             return self.terms, other.terms, self.measure_factor
-        a, b = self.canonical(), other.canonical()
-        if not a.terms:
-            return {}, b.terms, b.measure_factor
-        if not b.terms:
-            return a.terms, {}, a.measure_factor
-        scale, residual = _split_measure(b.measure_factor / a.measure_factor)
-        bt = CycScalar._raw(self.p, {r: c * scale for r, c in b.terms.items()},
-                            PosRealExact.one())
-        if residual.is_one():
-            return a.terms, bt.terms, a.measure_factor
-        # a sqrt(p) leftover: absorb it as a Gauss sum (raises for p = 3 mod 4)
+        if not self.terms:
+            return {}, other.terms, other.measure_factor
+        if not other.terms:
+            return self.terms, {}, self.measure_factor
+        # both factors are canonical and differ, so the residual is not 1: a
+        # sqrt(p) leftover is absorbed as a Gauss sum (raises for p = 3 mod 4)
+        scale, residual = _split_measure(other.measure_factor / self.measure_factor)
         if residual == PosRealExact.prime_power(self.p, Fraction(1, 2)):
-            root = CycScalar._raw(self.p, _gauss_sqrt_terms(self.p), PosRealExact.one())
-            return a.terms, (bt * root).terms, a.measure_factor
+            bt = CycScalar(self.p, {r: c * scale for r, c in other.terms.items()})
+            root = CycScalar(self.p, _gauss_sqrt_terms(self.p))
+            return self.terms, (bt * root).terms, self.measure_factor
         raise HarmonicError(
-            f"incompatible measure factors {a.measure_factor} / {b.measure_factor}")
+            f"incompatible measure factors {self.measure_factor} / {other.measure_factor}")
 
     def __add__(self, other: "CycScalar") -> "CycScalar":
+        # a union of power-basis terms stays in the power basis
         ta, tb, mf = self._aligned_terms(other)
         out = dict(ta)
         for r, c in tb.items():
-            out[r] = out.get(r, Fraction(0)) + c
-        return CycScalar._cleaned(self.p, out, mf)
+            c += out.get(r, 0)
+            if c:
+                out[r] = c
+            else:
+                del out[r]
+        return CycScalar._raw(self.p, out, mf if out else PosRealExact.one())
 
     def __neg__(self) -> "CycScalar":
         return CycScalar._raw(self.p, {r: -c for r, c in self.terms.items()},
@@ -236,10 +228,9 @@ class CycScalar:
         out: Dict[Fraction, Fraction] = {}
         for r1, c1 in self.terms.items():
             for r2, c2 in other.terms.items():
-                r = (r1 + r2) % 1
-                out[r] = out.get(r, Fraction(0)) + c1 * c2
-        return CycScalar._cleaned(self.p, out,
-                                  self.measure_factor * other.measure_factor)
+                r = r1 + r2
+                out[r] = out.get(r, 0) + c1 * c2
+        return CycScalar(self.p, out, self.measure_factor * other.measure_factor)
 
     def scale_rational(self, q) -> "CycScalar":
         q = Fraction(q)
@@ -249,18 +240,14 @@ class CycScalar:
                               self.measure_factor)
 
     def scale_measure(self, m: PosRealExact) -> "CycScalar":
-        return CycScalar._raw(self.p, self.terms, self.measure_factor * m)
+        return CycScalar(self.p, self.terms, self.measure_factor * m)
 
     def eq(self, other: "CycScalar") -> bool:
         try:
             ta, tb, _ = self._aligned_terms(other)
         except HarmonicError:
-            # no common rewriting exists: equal only if both vanish
-            return self.is_zero() and other.is_zero()
-        diff = dict(ta)
-        for r, c in tb.items():
-            diff[r] = diff.get(r, Fraction(0)) - c
-        return not _reduce_terms(self.p, diff)
+            return False  # both nonzero, with no common measure factor
+        return ta == tb
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycScalar):
@@ -277,22 +264,20 @@ class CycScalar:
         return total * float(self.measure_factor)
 
     def to_json(self) -> dict:
-        c = self.canonical()
         return {
-            "angles": [[r.numerator, r.denominator] for r in sorted(c.terms)],
-            "coefficients": [str(c.terms[r]) for r in sorted(c.terms)],
+            "angles": [[r.numerator, r.denominator] for r in sorted(self.terms)],
+            "coefficients": [str(self.terms[r]) for r in sorted(self.terms)],
             "measure_factor": {str(q): str(e) for q, e in
-                               sorted(c.measure_factor.exponents.items())},
+                               sorted(self.measure_factor.exponents.items())},
         }
 
     def __repr__(self) -> str:
-        c = self.canonical()
-        if not c.terms:
+        if not self.terms:
             return "0"
-        body = " + ".join(f"({co})e({r})" for r, co in sorted(c.terms.items()))
-        if c.measure_factor.is_one():
+        body = " + ".join(f"({co})e({r})" for r, co in sorted(self.terms.items()))
+        if self.measure_factor.is_one():
             return body
-        return f"[{body}] * {c.measure_factor}"
+        return f"[{body}] * {self.measure_factor}"
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +293,7 @@ class StepFunction:
 
     Supported in pi^(-M) O_v, constant on cosets of pi^N O_v.  ``values``
     maps canonical digit vectors (positions -M .. N-1, lowest lifts) to
-    scalars; missing cosets are zero.
+    nonzero scalars; missing cosets are zero, and zero values are dropped.
     """
 
     field: LocalFieldDesc
@@ -320,6 +305,8 @@ class StepFunction:
         if self.support_bound + self.level < 0:
             raise HarmonicError(
                 f"support bound {self.support_bound} + level {self.level} < 0")
+        object.__setattr__(self, "values",
+                           {k: v for k, v in self.values.items() if v.terms})
 
     @property
     def length(self) -> int:
@@ -346,28 +333,24 @@ class StepFunction:
         return self.values.get((zero,) * self.length, CycScalar.zero(self.field.p))
 
     def refine(self, M2: int, N2: int) -> "StepFunction":
+        """The same function on the finer (M2, N2) table: each stored coset
+        becomes its zero-padded head followed by every digit tail."""
         if M2 < self.support_bound or N2 < self.level:
             raise HarmonicError("refinement must not coarsen the table")
-        if M2 == self.support_bound and N2 == self.level:
-            return self
-        if self.field.residue_card ** (M2 + N2) > REFINE_CAP:
-            raise HarmonicError("refinement too large to enumerate")
-        vals: Dict[DigitVec, CycScalar] = {}
-        for vec in itertools.product(self.field.residue_reps(), repeat=M2 + N2):
-            v = self.value_at(-M2, vec)
-            if not v.is_zero():
-                vals[vec] = v
-        return StepFunction(self.field, M2, N2, vals)
+        zero = 0 if self.field.f == 1 else (0, 0)
+        head = (zero,) * (M2 - self.support_bound)
+        tails = list(itertools.product(self.field.residue_reps(), repeat=N2 - self.level))
+        return StepFunction(self.field, M2, N2, {head + vec + tail: v
+                                                 for vec, v in self.values.items()
+                                                 for tail in tails})
 
     def equals(self, other: "StepFunction") -> bool:
         if self.field != other.field:
             return False
         M = max(self.support_bound, other.support_bound)
         N = max(self.level, other.level)
-        a, b = self.refine(M, N), other.refine(M, N)
-        keys = set(a.values) | set(b.values)
-        zero = CycScalar.zero(self.field.p)
-        return all(a.values.get(k, zero).eq(b.values.get(k, zero)) for k in keys)
+        a, b = self.refine(M, N).values, other.refine(M, N).values
+        return a.keys() == b.keys() and all(v.eq(b[k]) for k, v in a.items())
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
         if self.field != other.field:
@@ -379,7 +362,6 @@ class StepFunction:
         for k, v in b.values.items():
             w = vals.get(k)
             vals[k] = v if w is None else w + v
-        vals = {k: v for k, v in vals.items() if not v.is_zero()}
         return StepFunction(self.field, M, N, vals)
 
     def scale(self, q) -> "StepFunction":
@@ -402,7 +384,7 @@ def integrate(f: StepFunction) -> CycScalar:
     total = CycScalar.zero(f.field.p)
     for v in f.values.values():
         total = total + v
-    return total.scale_measure(coset_measure(f.field, f.level)).canonical()
+    return total.scale_measure(coset_measure(f.field, f.level))
 
 
 def _digit_angle(field: LocalFieldDesc, digit, s: int) -> Fraction:
@@ -419,29 +401,19 @@ def character_coset_integral(field: LocalFieldDesc, m: int) -> CycScalar:
     The character is trivial precisely on the inverse different
     pi^(-d) O_v (d the different exponent), so for m >= -d the integral is
     the measure (#k)^(-m) mu(O_v); below that the full character sum is
-    assembled and cancels to exact zero in canonical form.  For d = 0 this
-    is the classical closed form with threshold m >= 0.
+    assembled and cancels to exact zero.  For d = 0 this is the classical
+    closed form with threshold m >= 0.
     """
     d = field.different_exponent
     if m >= -d:
-        return CycScalar.from_posreal(field.p, coset_measure(field, m)).canonical()
-    # character sum over pi^m O / pi^(-d) O: the angle of a digit vector is
-    # the sum of its per-position digit angles, so the distribution of
-    # angles is a convolution over positions
-    tables = [[_digit_angle(field, dg, s) for dg in field.residue_reps()]
-              for s in range(m, -d)]
-    D = _p_power_denominator(field.p, itertools.chain(*tables))
-    hist = {0: 1}
-    for angs in tables:
-        new: Dict[int, int] = {}
-        for base_ang, cnt in hist.items():
-            for r in angs:
-                k = (base_ang + int(r * D)) % D
-                new[k] = new.get(k, 0) + cnt
-        hist = new
-    terms = {Fraction(k, D): Fraction(cnt) for k, cnt in hist.items()}
-    total = CycScalar._raw(field.p, terms, PosRealExact.one())
-    return total.scale_measure(coset_measure(field, -d)).canonical()
+        return CycScalar.from_posreal(field.p, coset_measure(field, m))
+    # character sum over pi^m O / pi^(-d) O: the character is additive, so
+    # the sum is the product over positions of the one-digit sums
+    total = CycScalar.from_posreal(field.p, coset_measure(field, -d))
+    for s in range(m, -d):
+        total = total * CycScalar(field.p, Counter(
+            _digit_angle(field, dg, s) for dg in field.residue_reps()))
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -560,12 +532,8 @@ def fourier(f: StepFunction) -> StepFunction:
                         r = angle_of[m] = Fraction(m, D)
                     terms[r] = Fraction(c * num, den)
                 parts.append(CycScalar._raw(p, terms, residual))
-        if len(parts) == 1:
-            out_values[xvec] = parts[0]
-        elif parts:
-            total = sum(parts[1:], parts[0]).canonical()
-            if total.terms:
-                out_values[xvec] = total
+        if parts:
+            out_values[xvec] = sum(parts[1:], parts[0])
     return StepFunction(field, Mh, Nh, out_values)
 
 

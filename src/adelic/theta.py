@@ -212,8 +212,8 @@ def embedding_matrix(field: GlobalFieldDesc, ideal: FractionalIdeal,
 def _geom_tail(lam: float, B: int) -> float:
     """Upper bound for sum_{n > B} exp(-pi lam n^2)."""
     top = math.exp(-math.pi * lam * (B + 1) ** 2)
-    ratio = math.exp(-math.pi * lam * (2 * B + 3))
-    return top / (1.0 - ratio)
+    # 1 - exp(-x) through expm1: on dense lattices x falls below 1e-16
+    return top / -math.expm1(-math.pi * lam * (2 * B + 3))
 
 
 def certified_box(lam: float, rank: int, tol: float, max_radius: float) -> int:

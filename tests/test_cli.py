@@ -199,6 +199,9 @@ def test_bad_numeric_input_exits_2_with_one_line(capsys, argv):
     ("Q(sqrt5)", "inf#0:1e-200", None),
     ("Q(i)", "inf#0:1e-200", 0.0),
     ("Q", "inf#0:1e-300", 0.0),
+    ("Q", "inf#0:1e9", None),
+    ("Q(i)", "inf#0:1e9", None),
+    ("Q(sqrt5)", "inf#0:1e100", None),
 ])
 def test_h0_extreme_archimedean_component(capsys, field, idele, h0):
     # either a finite h0 and a clean stderr, or exit 2 with one line

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -75,6 +76,20 @@ def test_places_above_examples():
     assert ram2.splitting == "ramified" and ram2.residue_card == 2
     ramt, = places_above(H, (0, 1))   # t divides t^3 - t
     assert ramt.splitting == "ramified"
+
+
+def test_split_roots_at_large_primes():
+    # the roots of omega's minimal polynomial mod p come from a modular
+    # square root, not from a scan over the residues
+    t0 = time.perf_counter()
+    roots_i = [pl.root for pl in places_above(Qi, 469513381)]
+    roots_5 = [pl.root for pl in places_above(Q5, 1000000009)]
+    elapsed = time.perf_counter() - t0
+    assert roots_i == [141154016, 328359365]
+    assert all((r * r + 1) % 469513381 == 0 for r in roots_i)  # omega = i
+    assert roots_5 == [308495997, 691504013]
+    assert all((r * r - r - 1) % 1000000009 == 0 for r in roots_5)  # omega = (1+sqrt5)/2
+    assert elapsed < 1.0
 
 
 def test_splitting_matches_kronecker_oracle():

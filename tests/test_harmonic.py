@@ -53,15 +53,28 @@ SMALL_FIELDS = [base_field(2), base_field(3), base_field(3, LAURENT),
 def test_cyc_rational_canonical_form():
     x = CycScalar(3, {Fraction(0): Fraction(5), Fraction(1, 3): Fraction(2),
                       Fraction(2, 3): Fraction(2)})
+    assert x.terms == {Fraction(0): Fraction(3)}  # canonical at construction
     c = x.canonical()
     assert c.terms == {Fraction(0): Fraction(3)}
     assert x.as_rational() == 3
     assert CycScalar(3, {0: 1, 1: 1}).as_rational() == 2  # equal angles mod 1 add
 
 
+def test_cyc_canonical_at_construction():
+    # the rational part of the measure factor moves into the coefficients
+    y = CycScalar.from_posreal(2, PosRealExact.prime_power(2, Fraction(3, 2)))
+    assert y.terms == {Fraction(0): Fraction(2)}
+    assert y.measure_factor == PosRealExact.prime_power(2, Fraction(1, 2))
+    # a sum of canonical terms is canonical: the 1/3-cycle split over two
+    # scalars cancels, and zero carries measure factor 1
+    s3 = PosRealExact.prime_power(3, Fraction(1, 2))
+    z = CycScalar(3, {0: 1, Fraction(1, 3): 1}, s3) + CycScalar(3, {Fraction(2, 3): 1}, s3)
+    assert z.terms == {} and z.measure_factor.is_one()
+
+
 def test_cyc_full_cycle_cancels():
     x = CycScalar(5, {Fraction(a, 5): Fraction(7) for a in range(5)})
-    assert x.is_zero()
+    assert x.is_zero() and x.terms == {}
     y = CycScalar(2, {Fraction(1, 8): 1, Fraction(5, 8): 1})  # zeta + (-zeta)
     assert y.is_zero()
 
@@ -269,6 +282,24 @@ def test_refining_level_preserves_values():
     g = f.refine(f.support_bound + 1, f.level + 1)
     for vec in g.iter_cosets():
         assert g.value_at(-g.support_bound, vec).eq(f.value_at(-g.support_bound, vec))
+
+
+def test_step_function_drops_zero_values():
+    K = base_field(3)
+    assert StepFunction(K, 1, 1, {(0, 1): CycScalar.zero(3)}).values == {}
+    two = CycScalar.rational(3, 2)
+    assert StepFunction(K, 1, 1, {(1, 2): two - two}).values == {}
+
+
+def test_refine_is_sparse():
+    # 625 stored cosets out of a 5^8 table
+    one = CycScalar.rational(5, 1)
+    f = StepFunction(base_field(5), 0, 0, {(): one})
+    g = f.refine(4, 4)
+    assert len(g.values) == 625
+    assert g.equals(f) and f.equals(g)
+    assert g.value_at(-4, (0, 0, 0, 0, 1, 2, 3, 4)).eq(one)
+    assert g.value_at(-4, (1, 0, 0, 0, 0, 0, 0, 0)).is_zero()
 
 
 def test_coset_count_invariant():

@@ -6,11 +6,15 @@ string annotation or ``__all__`` mentions count as used.
 """
 
 import ast
+import importlib.util
 import pathlib
+
+import adelic
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "adelic"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "adelic"
 MODULES = sorted(SRC.glob("*.py"))
 
 
@@ -94,3 +98,25 @@ def test_no_local_assigned_and_never_read(path):
         dead += [f"{name} in {fn.name} (line {line})" for name, line in stored.items()
                  if name not in loaded and not name.startswith("_")]
     assert not dead, f"{path.name}: assigned, never read: {dead}"
+
+
+def test_benchmark_span_targets_exist():
+    # the traced benchmark names library functions by string; loading its
+    # span table (without installing a wrapper) resolves the CACHES entries,
+    # and every SPANNED and COUNTED name must resolve as well
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_spans", ROOT / "perfbench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    missing = []
+    for layer, names in spans.SPANNED.items():
+        for qual in names:
+            obj = getattr(adelic, layer)
+            for part in qual.split("."):
+                obj = getattr(obj, part, None)
+            if not callable(obj):
+                missing.append(f"{layer}.{qual}")
+    missing += [key for key, (cls, attr) in spans.COUNTED.items()
+                if not callable(getattr(cls, attr, None))]
+    missing += [key for key, fn in spans.CACHES.items() if not hasattr(fn, "cache_info")]
+    assert not missing, f"benchmark span targets missing from adelic: {missing}"
