@@ -74,6 +74,13 @@ class CLIError(Exception):
     """Bad input; maps to exit status 2."""
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise CLIError (one line, exit 2), not a usage block."""
+
+    def error(self, message):
+        raise CLIError(message)
+
+
 # ---------------------------------------------------------------------------
 # literal parsing
 # ---------------------------------------------------------------------------
@@ -118,7 +125,7 @@ def parse_field(text: str) -> GlobalFieldDesc:
             q = int(opts["q"])
             coeffs = [int(c) % q for c in opts["f"].split(",")]
             return GlobalFieldDesc.hyperelliptic(q, coeffs)
-        except (ValueError, UnsupportedField) as exc:
+        except (ValueError, ZeroDivisionError, UnsupportedField) as exc:
             raise CLIError(f"bad hyperelliptic literal {text!r}: {exc}")
     raise CLIError(f"unrecognized field literal {text!r}")
 
@@ -149,12 +156,12 @@ def parse_idele(field: GlobalFieldDesc, text: str) -> Idele:
             idx = _parse_int(sel[4:], part) if "#" in sel else 0
             if field.is_function_field:
                 pls = places_above(field, INFINITY)
-                if idx >= len(pls):
+                if not 0 <= idx < len(pls):
                     raise CLIError(f"no infinite place #{idx} on {field.describe()}")
                 fin[pls[idx]] = _parse_int(val, part)
             else:
                 pls = archimedean_places(field)
-                if idx >= len(pls):
+                if not 0 <= idx < len(pls):
                     raise CLIError(f"no archimedean place #{idx}")
                 arch[pls[idx]] = _positive_float(val, f"archimedean component {part!r}")
         elif sel.startswith("p"):
@@ -162,18 +169,16 @@ def parse_idele(field: GlobalFieldDesc, text: str) -> Idele:
             enc, _, idx_s = body.partition("#")
             idx = _parse_int(idx_s, part) if idx_s else 0
             try:
-                enc_n = int(enc)
+                below = int(enc)
+                if field.is_function_field:
+                    below = ffpoly.int_to_poly(gf(field.q), below)
             except ValueError:
                 raise CLIError(f"bad place selector {sel!r}")
-            if field.is_function_field:
-                below = ffpoly.int_to_poly(gf(field.q), enc_n)
-            else:
-                below = enc_n
             try:
                 pls = places_above(field, below)
             except (UnsupportedField, GlobalFieldError) as exc:
                 raise CLIError(f"bad place selector {sel!r}: {exc}")
-            if idx >= len(pls):
+            if not 0 <= idx < len(pls):
                 raise CLIError(f"no place {sel!r} (only {len(pls)} above)")
             fin[pls[idx]] = _parse_int(val, part)
         else:
@@ -393,7 +398,7 @@ def _load_config(path: str) -> Dict[str, str]:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="adelic",
         description="Euler characteristics of Arakelov divisors via adelic integrals")
     sub = top.add_subparsers(dest="command", required=True)

@@ -28,7 +28,6 @@ an unresolved factor 1/2 and is not used as a formula).
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
@@ -46,7 +45,6 @@ from .globalfields import (
     different_exponent_at,
     divisor_of_idele,
     idele_log_norm,
-    omega_embeddings,
     places_above,
     ramified_finite_places,
     relative_discriminant_norm,
@@ -80,46 +78,6 @@ class ThetaParams:
     def __post_init__(self):
         if self.tolerance <= 0:
             raise ValueError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
-class TestFunctionSpec:
-    """The product eigenfunction attached to an idele.
-
-    Non-archimedean factors are the characteristic functions of
-    alpha_v O_v; archimedean factors are exp(-e_v pi |x/alpha_v|_v^{2/e_v}).
-    The function is determined by the idele alone, and f(0) = 1.
-
-    ``arch_weight`` evaluates the archimedean part at a global element
-    (a rational, or (a, b) coordinates in the integral basis of a
-    quadratic field); it is the summand of the section sums in h0 and
-    doubles as an independent oracle for the lattice route.
-    """
-
-    field: GlobalFieldDesc
-    idele: Idele
-
-    def arch_weight(self, element) -> float:
-        arch = self.idele.arch
-        if self.field.kind == RATIONAL:
-            x = float(Fraction(element))
-            pl, = places_above(self.field, INFINITY)
-            a = arch.get(pl, 1.0)
-            return math.exp(-math.pi * (x / a) ** 2)
-        if self.field.kind != QUADRATIC:
-            raise UnsupportedField("archimedean weights need embeddings")
-        a0, b0 = Fraction(element[0]), Fraction(element[1])
-        total = 0.0
-        pls = places_above(self.field, INFINITY)
-        ws = omega_embeddings(self.field)
-        for pl, w in zip(pls, ws):
-            av = arch.get(pl, 1.0)
-            z = complex(float(a0) + float(b0) * w.real, float(b0) * w.imag)
-            if pl.kind == "real":
-                total += math.pi * (z.real / av) ** 2
-            else:
-                total += 2 * math.pi * (abs(z) / av) ** 2
-        return math.exp(-total)
 
 
 DEFAULT_PARAMS = ThetaParams()

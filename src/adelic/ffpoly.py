@@ -214,17 +214,9 @@ def ppow_mod(F: GF, f: Poly, n: int, m: Poly) -> Poly:
 
 def monic_polys(F: GF, deg: int) -> Iterator[Poly]:
     """All monic polynomials of exact degree ``deg`` in ascending-coeff order."""
-    if deg == 0:
-        yield (1,)
-        return
-    total = F.q ** deg
-    for idx in range(total):
-        coeffs = []
-        n = idx
-        for _ in range(deg):
-            coeffs.append(n % F.q)
-            n //= F.q
-        yield tuple(coeffs) + (1,)
+    lead = F.q ** deg
+    for idx in range(lead):
+        yield int_to_poly(F, lead + idx)
 
 
 @lru_cache(maxsize=None)
@@ -297,6 +289,8 @@ def poly_to_int(F: GF, f: Poly) -> int:
 
 
 def int_to_poly(F: GF, n: int) -> Poly:
+    if n < 0:
+        raise ValueError(f"polynomial codes are non-negative, got {n}")
     coeffs = []
     while n:
         coeffs.append(n % F.q)

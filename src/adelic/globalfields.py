@@ -538,11 +538,6 @@ class Divisor:
             raise UnsupportedField("finite_degree is a function-field notion")
         return sum(c * pl.deg for pl, c in self.coefficients)
 
-    def describe(self) -> str:
-        if not self.coefficients:
-            return "0"
-        return " + ".join(f"{c}[{pl.label()}]" for pl, c in self.coefficients)
-
 
 def divisor_of_idele(alpha: Idele) -> Divisor:
     """The divisor with coefficient -v(alpha_v) at finite places and

@@ -195,6 +195,11 @@ class CycScalar:
             return {}, other.terms, other.measure_factor
         if not other.terms:
             return self.terms, {}, self.measure_factor
+        # the smaller factor (1 before p^(1/2)) takes the sum, in either order
+        if sorted(other.measure_factor.exponents.items()) < \
+                sorted(self.measure_factor.exponents.items()):
+            tb, ta, mf = other._aligned_terms(self)
+            return ta, tb, mf
         # both factors are canonical and differ, so the residual is not 1: a
         # sqrt(p) leftover is absorbed as a Gauss sum (raises for p = 3 mod 4)
         scale, residual = _split_measure(other.measure_factor / self.measure_factor)
@@ -571,14 +576,13 @@ def verify_inversion(f: StepFunction,
     """Check f(xi) = f^^(-xi) pointwise as exact scalars.
 
     ``double_transform`` overrides the computed double transform (used by
-    negative controls); by construction the shapes coincide with f's.
+    negative controls) and must have f's shape, like fourier(fourier(f)).
     """
     field = f.field
     g = double_transform if double_transform is not None else fourier(fourier(f))
     if (g.support_bound, g.level) != (f.support_bound, f.level):
-        g = g.refine(max(g.support_bound, f.support_bound),
-                     max(g.level, f.level))
-        f = f.refine(g.support_bound, g.level)
+        raise HarmonicError(f"double transform has shape {(g.support_bound, g.level)}, "
+                            f"not {(f.support_bound, f.level)}")
     start = -f.support_bound
     keys = set(f.values)
     keys.update(negate_coset(field, start, k) for k in g.values)

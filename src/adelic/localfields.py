@@ -472,7 +472,7 @@ def _expand_digits(field: LocalFieldDesc, coords: Coords, start: int, count: int
 class LocalElement:
     """An element of a local field: exact coordinate representative plus a
     precision level.  ``digits`` is the expansion in the designated
-    uniformizer from ``leading_valuation``, capped at DEFAULT_DIGITS.
+    uniformizer from the valuation, capped at DEFAULT_DIGITS.
 
     Immutable; all arithmetic returns fresh objects.
     """
@@ -537,10 +537,6 @@ class LocalElement:
         return self._val is None
 
     @property
-    def leading_valuation(self):
-        return math.inf if self._val is None else self._val
-
-    @property
     def digits(self) -> Tuple:
         if self._val is None:
             return ()
@@ -579,9 +575,6 @@ class LocalElement:
     def __neg__(self) -> "LocalElement":
         return LocalElement(self.field, _cneg(self.coords), self.precision)
 
-    def __sub__(self, other: "LocalElement") -> "LocalElement":
-        return self + (-other)
-
     def __mul__(self, other: "LocalElement") -> "LocalElement":
         self._check_field(other)
         # v(x) >= precision when the representative is zero but inexact
@@ -594,14 +587,6 @@ class LocalElement:
             prec = min(prec, vo + self.precision)
         return LocalElement(self.field, _cmul(self.field, self.coords, other.coords),
                             prec)
-
-    def __pow__(self, n: int) -> "LocalElement":
-        if n < 0:
-            raise ValueError("negative powers unsupported; build from coordinates")
-        out = LocalElement.one(self.field)
-        for _ in range(n):
-            out = out * self
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -623,20 +608,8 @@ class UnitAngle:
     def __add__(self, other: "UnitAngle") -> "UnitAngle":
         return UnitAngle.make(self.r + other.r)
 
-    def __neg__(self) -> "UnitAngle":
-        return UnitAngle.make(-self.r)
-
-    def __mul__(self, n: int) -> "UnitAngle":
-        return UnitAngle.make(self.r * n)
-
-    __rmul__ = __mul__
-
     def is_zero(self) -> bool:
         return self.r == 0
-
-    def complex(self) -> complex:
-        arg = 2 * math.pi * float(self.r)
-        return complex(math.cos(arg), math.sin(arg))
 
     def __repr__(self) -> str:
         return f"e(2pi*i*{self.r})"

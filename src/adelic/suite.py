@@ -315,17 +315,10 @@ def brute_force_sections(field: GlobalFieldDesc, div_coeffs: Dict) -> int:
     count = 1  # the zero function
     if bound < 0:
         return count
-    for idx in range(q ** (bound + 1)):
-        coeffs = []
-        ii = idx
-        for _ in range(bound + 1):
-            coeffs.append(ii % q)
-            ii //= q
-        h = ffpoly.ptrim(coeffs)
-        if not h:
-            continue
-        num = ffpoly.pmul(F, m, h)
-        # membership: v_pi(num/d) + n_pi >= 0 at the support, v >= 0 elsewhere
+    for idx in range(1, q ** (bound + 1)):
+        num = ffpoly.pmul(F, m, ffpoly.int_to_poly(F, idx))
+        # membership: v_pi(num/d) + n_pi >= 0 at the support, v >= 0 elsewhere;
+        # the places are distinct monic irreducibles, so v_pi(d) = max(0, n_pi)
         ok = ffpoly.pdeg(d) - ffpoly.pdeg(num) + n_inf >= 0
         for pi, npi in finite.items():
             if not ok:
@@ -338,15 +331,7 @@ def brute_force_sections(field: GlobalFieldDesc, div_coeffs: Dict) -> int:
                     break
                 mult += 1
                 r = qq
-            vd = 0
-            rd = d
-            while True:
-                qq, rr = ffpoly.pdivmod(F, rd, pi)
-                if rr:
-                    break
-                vd += 1
-                rd = qq
-            ok = mult - vd + npi >= 0
+            ok = mult - max(0, npi) + npi >= 0
         if ok:
             count += 1
     return count

@@ -141,21 +141,24 @@ class LogValue:
     """Formal sum ``sum_p c_p log p`` (exact) plus a float remainder.
 
     Equality is exact on the symbolic coefficients and holds the real
-    remainder to a tolerance (default 1e-9).
+    remainder to a tolerance (default 1e-9).  A value is exact unless it was
+    given a ``real``, even 0.0 (``of_real`` included), or computed from one.
     """
 
-    __slots__ = ("_c", "real")
+    __slots__ = ("_c", "real", "_float")
 
     DEFAULT_TOL = 1e-9
 
-    def __init__(self, coeffs: Dict[int, Fraction] | None = None, real: float = 0.0):
+    def __init__(self, coeffs: Dict[int, Fraction] | None = None,
+                 real: float | None = None):
         cleaned: Dict[int, Fraction] = {}
         for p, c in (coeffs or {}).items():
             c = Fraction(c)
             if c != 0:
                 cleaned[int(p)] = c
         self._c = cleaned
-        self.real = float(real)
+        self._float = real is not None
+        self.real = float(real or 0.0)
 
     @classmethod
     def zero(cls) -> "LogValue":
@@ -181,17 +184,20 @@ class LogValue:
         coeffs = dict(self._c)
         for p, c in other._c.items():
             coeffs[p] = coeffs.get(p, Fraction(0)) + c
-        return LogValue(coeffs, self.real + other.real)
+        return LogValue(coeffs, self.real + other.real
+                        if self._float or other._float else None)
 
     def __neg__(self) -> "LogValue":
-        return LogValue({p: -c for p, c in self._c.items()}, -self.real)
+        return LogValue({p: -c for p, c in self._c.items()},
+                        -self.real if self._float else None)
 
     def __sub__(self, other: "LogValue") -> "LogValue":
         return self + (-other)
 
     def __mul__(self, k) -> "LogValue":
         k = Fraction(k)
-        return LogValue({p: c * k for p, c in self._c.items()}, float(k) * self.real)
+        return LogValue({p: c * k for p, c in self._c.items()},
+                        float(k) * self.real if self._float else None)
 
     __rmul__ = __mul__
 
@@ -209,7 +215,7 @@ class LogValue:
     def to_json(self, tolerance: float | None = None) -> dict:
         """Schema: symbolic coefficient list, real remainder, provenance tag."""
         sym = [[p, str(c)] for p, c in sorted(self._c.items())]
-        if self.real == 0.0:
+        if not self._float:
             prov = "exact-symbolic"
         else:
             prov = f"float({tolerance:g})" if tolerance is not None else "float"

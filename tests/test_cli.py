@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from adelic.cli import main, parse_field, parse_idele, CLIError
 from adelic.globalfields import GlobalFieldDesc, idele_log_norm
@@ -118,6 +121,43 @@ def test_verify_poisson_loose_theta_fails(capsys):
     assert json_lines(out)[0]["pass"] is False
 
 
+def test_describe_quadratic_cli(capsys):
+    code, out, _ = run(capsys, "describe", "--field", "Q(sqrt -3)", "--output", "json")
+    assert code == 0
+    obj = json_lines(out)[0]
+    assert obj["disc"] == -3 and obj["signature"] == [0, 1]
+
+
+def test_h1_cli_is_h0_minus_chi(capsys):
+    # chi(Q(i), 1) = -1/2 log 4, so h1 = h0 + log 2
+    values = {}
+    for cmd in ("h0", "h1"):
+        code, out, _ = run(capsys, cmd, "--field", "Q(i)", "--output", "json")
+        assert code == 0
+        values[cmd] = json_lines(out)[0]["result"]["value"]
+    assert abs(values["h1"] - values["h0"] - math.log(2)) < 1e-12
+
+
+def test_chi_rel_cli(capsys):
+    code, out, _ = run(capsys, "chi-rel", "--field", "Q(sqrt 5)", "--base", "Q",
+                       "--output", "json")
+    assert code == 0
+    result = json_lines(out)[0]["result"]
+    assert result["symbolic"] == [[5, "-1/2"]]
+    assert result["provenance"] == "exact-symbolic"
+
+
+@pytest.mark.parametrize("field, idele", [
+    ("Q(sqrt-3)", "p2#0:400"),
+    ("Q", "inf#0:1e-300"),
+])
+def test_theta_sum_is_labelled_float(capsys, field, idele):
+    # a truncated theta sum is a float even when its value is 0.0 or exact-looking
+    code, out, _ = run(capsys, "h0", "--field", field, "--idele", idele, "--output", "json")
+    assert code == 0
+    assert json_lines(out)[0]["result"]["provenance"] == "float(1e-10)"
+
+
 def test_describe_cli(capsys):
     code, out, _ = run(capsys, "describe", "--field",
                        "hyperelliptic q=3 f=0,-1,0,1", "--output", "json")
@@ -185,6 +225,13 @@ def test_suite_fast(capsys):
     ("transform", "--p", "2", "--quad-index", "5"),
     ("h0", "--tol", "-1e-3"),
     ("h0", "--max-radius", "-1e3"),
+    ("chi", "--field", "Fq(t) q=3", "--idele", "p-1#0:1"),
+    ("transform",),
+    ("verify", "bogus"),
+    ("chi", "--output", "xml"),
+    ("h0", "--idele", "inf#-1:2"),
+    ("chi", "--field", "Q(sqrt5)", "--idele", "p5#-1:1"),
+    ("chi", "--field", "hyperelliptic q=0 f=1"),
 ])
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -238,3 +285,76 @@ def test_verify_that_ran_nothing_fails(capsys, argv):
     assert code == 1
     obj = json_lines(out)[-1]
     assert obj["pass"] is False and "zero cases" in obj["detail"]
+
+
+# -- grammar fuzz -------------------------------------------------------------------
+
+FUZZ_FIELDS = (["Q", "Q(i)", "Q(sqrt 5)", "Q(sqrt-3)", "Q(sqrt 2)", "Fq(t) q=2",
+                "Fq(t) q=3", "Fq(t) q=4", "hyperelliptic q=3 f=0,-1,0,1"],
+               ["Z", "", "Q(sqrt 12)", "Q(sqrt 1)", "Q(sqrt 0)", "Q(sqrt x)", "Fq(t)",
+                "Fq(t) q=6", "Fq(t) q=0", "hyperelliptic q=3", "hyperelliptic q=0 f=1"])
+FUZZ_VALUES = ["-2", "-1", "0", "1", "2", "0.5", "2.5", "1e-3", "abc", "nan", "", "inf"]
+
+
+def pick(draw, choices):
+    """One of (valid, invalid), the invalid ones a fifth of the time."""
+    valid, invalid = choices
+    return draw(st.sampled_from(invalid if draw(st.integers(0, 4)) == 0 else valid))
+
+
+@st.composite
+def idele_literals(draw):
+    parts = []
+    for _ in range(draw(st.integers(0, 2))):
+        sel = draw(st.sampled_from(["p", "inf"]))
+        if sel == "p":
+            sel += str(draw(st.integers(-30, 30)))
+        if draw(st.booleans()):
+            sel += f"#{draw(st.integers(-1, 2))}"
+        parts.append(f"{sel}:{draw(st.sampled_from(FUZZ_VALUES))}")
+    return ",".join(parts) or draw(st.sampled_from(["trivial", ""]))
+
+
+@st.composite
+def cli_argvs(draw):
+    cmd = pick(draw, (["describe", "chi", "h0", "h1", "chi-rel", "verify", "transform"],
+                      ["bogus", "suites"]))
+    argv = [cmd]
+    if cmd == "transform":
+        argv += ["--p", str(draw(st.integers(-1, 7)))]
+        if draw(st.booleans()):
+            argv += ["--base-kind", pick(draw, (["p-adic", "laurent"], ["bogus"]))]
+        if draw(st.booleans()):
+            argv += ["--quad-index", str(draw(st.integers(-1, 4)))]
+        argv += ["--m", str(draw(st.integers(-2, 2)))]
+        return argv
+    if cmd == "verify":
+        argv.append(pick(draw, (["rr", "rr-rel", "serre", "poisson", "lemmas", "inversion"],
+                                ["bogus"])))
+        argv += ["--count", str(draw(st.integers(-1, 2)))]
+        if draw(st.booleans()):
+            argv += ["--p", str(draw(st.integers(-1, 5)))]
+    argv += ["--field", pick(draw, FUZZ_FIELDS)]
+    if cmd not in ("describe", "bogus", "suites") and draw(st.booleans()):
+        argv += ["--idele", draw(idele_literals())]
+    if cmd in ("chi-rel", "verify") and draw(st.booleans()):
+        argv += ["--base", pick(draw, FUZZ_FIELDS)]
+    if draw(st.booleans()):
+        argv += ["--output", pick(draw, (["text", "json"], ["xml"]))]
+    if draw(st.booleans()):
+        argv += ["--tol", pick(draw, (["1e-10", "1e-3"], ["0", "-1", "nan"]))]
+    return argv
+
+
+@settings(derandomize=True, max_examples=500, deadline=None, database=None)
+@given(cli_argvs())
+def test_cli_grammar_fuzz(argv):
+    # every argv ends in 0, 1 or 2; exit 2 says why on exactly one line;
+    # an uncaught exception propagates out of main and fails the test
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert len(err.getvalue().strip().splitlines()) == 1, (argv, err.getvalue())

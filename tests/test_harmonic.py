@@ -7,6 +7,7 @@ import pytest
 
 from adelic.harmonic import (
     CycScalar,
+    HarmonicError,
     StepFunction,
     character_coset_integral,
     coset_measure,
@@ -112,6 +113,15 @@ def test_cyc_incompatible_scalars_only_equal_when_zero():
     za = CycScalar.zero(3)
     zb = CycScalar(3, {}, PosRealExact.prime_power(3, Fraction(1, 2)))
     assert za.eq(zb)
+
+
+@pytest.mark.parametrize("p", [2, 5])
+def test_cyc_sum_independent_of_operand_order(p):
+    # the sum is written over the smaller measure factor, 1 before sqrt(p)
+    a = CycScalar.rational(p, 2)
+    b = CycScalar.from_posreal(p, PosRealExact.prime_power(p, Fraction(1, 2)))
+    assert (a + b).to_json() == (b + a).to_json()
+    assert (a + b).measure_factor.is_one()
 
 
 def test_cyc_mul_matches_complex():
@@ -271,6 +281,15 @@ def test_inversion_negative_control():
     rep = verify_inversion(f, double_transform=bad)
     assert not rep.passed
     assert rep.witnesses  # includes the offending coset
+
+
+def test_inversion_rejects_mismatched_shape():
+    K = base_field(3)
+    f = indicator(K, 1)
+    assert transform_shape(K, *transform_shape(K, f.support_bound, f.level)) == \
+        (f.support_bound, f.level)
+    with pytest.raises(HarmonicError):
+        verify_inversion(f, double_transform=fourier(f))
 
 
 # -- step function structure -------------------------------------------------------
