@@ -232,13 +232,23 @@ def monic_irreducibles(q: int, max_deg: int) -> Tuple[Poly, ...]:
     return tuple(found)
 
 
+def pgcd(F: GF, f: Poly, g: Poly) -> Poly:
+    """Greatest common divisor, monic (zero when f = g = 0)."""
+    while g:
+        f, g = g, pmod(F, f, g)
+    return pmonic(F, f)
+
+
 def is_irreducible(F: GF, f: Poly) -> bool:
+    """Ben-Or's test: f of degree d >= 2 is irreducible iff it shares no
+    factor with x^(q^i) - x for i = 1..d/2."""
     d = pdeg(f)
-    if d <= 0:
-        return False
-    if d == 1:
-        return True
-    return all(pmod(F, f, g) for g in monic_irreducibles(F.q, d // 2))
+    xq: Poly = (0, 1)
+    for _ in range(d // 2):
+        xq = ppow_mod(F, xq, F.q, f)
+        if pgcd(F, f, padd(F, xq, (0, F.neg(1)))) != (1,):
+            return False
+    return d >= 1
 
 
 def pfactor(F: GF, f: Poly) -> Tuple[int, Dict[Poly, int]]:

@@ -114,10 +114,7 @@ class GlobalFieldDesc:
             raise UnsupportedField("f must be monic of positive degree")
         deriv = ffpoly.ptrim(F.mul(i % F.p, f[i]) for i in range(1, len(f)))
         # squarefree <=> gcd(f, f') = 1
-        a, b = f, deriv
-        while b:
-            a, b = b, ffpoly.pmod(F, a, b)
-        if ffpoly.pdeg(a) != 0:
+        if ffpoly.pgcd(F, f, deriv) != (1,):
             raise UnsupportedField("f must be squarefree")
         return GlobalFieldDesc(HYPERELLIPTIC, q=q, fpoly=f)
 
@@ -263,22 +260,18 @@ def places_above(field: GlobalFieldDesc, below) -> List[Place]:
 
 @lru_cache(maxsize=None)
 def _places_above(field: GlobalFieldDesc, below) -> Tuple[Place, ...]:
-    return tuple(_places_above_impl(field, below))
-
-
-def _places_above_impl(field: GlobalFieldDesc, below) -> List[Place]:
     if field.kind == RATIONAL:
         if below == INFINITY:
-            return [Place(field, REAL)]
+            return (Place(field, REAL),)
         if not is_prime(below):
             raise UnsupportedField(f"{below} is not a prime")
-        return [Place(field, FINITE, below=below, residue_card=below)]
+        return (Place(field, FINITE, below=below, residue_card=below),)
 
     if field.kind == QUADRATIC:
         if below == INFINITY:
             if field.d > 0:
-                return [Place(field, REAL, below=INFINITY, index=i) for i in (0, 1)]
-            return [Place(field, COMPLEX, below=INFINITY)]
+                return tuple(Place(field, REAL, below=INFINITY, index=i) for i in (0, 1))
+            return (Place(field, COMPLEX, below=INFINITY),)
         p = below
         if not is_prime(p):
             raise UnsupportedField(f"{below} is not a prime")
@@ -292,47 +285,47 @@ def _places_above_impl(field: GlobalFieldDesc, below) -> List[Place]:
                 s = _sqrt_mod_p(D, p)
                 inv2 = pow(2, -1, p)
                 roots = sorted({(t + s) * inv2 % p, (t - s) * inv2 % p})
-            return [Place(field, FINITE, below=p, splitting=SPLIT, index=i,
-                          residue_card=p, root=r) for i, r in enumerate(roots)]
+            return tuple(Place(field, FINITE, below=p, splitting=SPLIT, index=i,
+                               residue_card=p, root=r) for i, r in enumerate(roots))
         if sym == -1:
-            return [Place(field, FINITE, below=p, splitting=INERT, f=2,
-                          residue_card=p * p)]
+            return (Place(field, FINITE, below=p, splitting=INERT, f=2,
+                          residue_card=p * p),)
         root = (t * pow(2, -1, p)) % p if p != 2 else (1 if field.d % 4 == 3 else 0)
-        return [Place(field, FINITE, below=p, splitting=RAMIFIED, e=2,
-                      residue_card=p, root=root)]
+        return (Place(field, FINITE, below=p, splitting=RAMIFIED, e=2,
+                      residue_card=p, root=root),)
 
     F = gf(field.q)
     if field.kind == RATFUNC:
         if below == INFINITY:
-            return [Place(field, FF_INFINITE, below=INFINITY,
-                          residue_card=field.q, deg=1)]
+            return (Place(field, FF_INFINITE, below=INFINITY,
+                          residue_card=field.q, deg=1),)
         pi = ffpoly.ptrim(below)
         if not ffpoly.is_irreducible(F, pi) or pi[-1] != 1:
             raise UnsupportedField(f"{below} is not monic irreducible over F_{field.q}")
         dg = ffpoly.pdeg(pi)
-        return [Place(field, FF_FINITE, below=pi, residue_card=field.q ** dg, deg=dg)]
+        return (Place(field, FF_FINITE, below=pi, residue_card=field.q ** dg, deg=dg),)
 
     # hyperelliptic y^2 = f(t)
     if below == INFINITY:
         if ffpoly.pdeg(field.fpoly) % 2 == 1:
-            return [Place(field, FF_INFINITE, below=INFINITY, splitting=RAMIFIED,
-                          e=2, residue_card=field.q, deg=1)]
+            return (Place(field, FF_INFINITE, below=INFINITY, splitting=RAMIFIED,
+                          e=2, residue_card=field.q, deg=1),)
         # f monic of even degree: the leading coefficient 1 is a square
-        return [Place(field, FF_INFINITE, below=INFINITY, splitting=SPLIT, index=i,
-                      residue_card=field.q, deg=1) for i in (0, 1)]
+        return tuple(Place(field, FF_INFINITE, below=INFINITY, splitting=SPLIT, index=i,
+                           residue_card=field.q, deg=1) for i in (0, 1))
     pi = ffpoly.ptrim(below)
     if not ffpoly.is_irreducible(F, pi) or pi[-1] != 1:
         raise UnsupportedField(f"{below} is not monic irreducible over F_{field.q}")
     dg = ffpoly.pdeg(pi)
     sym = ffpoly.euler_symbol(F, field.fpoly, pi)
     if sym == 0:
-        return [Place(field, FF_FINITE, below=pi, splitting=RAMIFIED, e=2,
-                      residue_card=field.q ** dg, deg=dg)]
+        return (Place(field, FF_FINITE, below=pi, splitting=RAMIFIED, e=2,
+                      residue_card=field.q ** dg, deg=dg),)
     if sym == 1:
-        return [Place(field, FF_FINITE, below=pi, splitting=SPLIT, index=i,
-                      residue_card=field.q ** dg, deg=dg) for i in (0, 1)]
-    return [Place(field, FF_FINITE, below=pi, splitting=INERT, f=2,
-                  residue_card=field.q ** (2 * dg), deg=2 * dg)]
+        return tuple(Place(field, FF_FINITE, below=pi, splitting=SPLIT, index=i,
+                           residue_card=field.q ** dg, deg=dg) for i in (0, 1))
+    return (Place(field, FF_FINITE, below=pi, splitting=INERT, f=2,
+                  residue_card=field.q ** (2 * dg), deg=2 * dg),)
 
 
 def archimedean_places(field: GlobalFieldDesc) -> List[Place]:
@@ -347,31 +340,25 @@ def ramified_finite_places(field: GlobalFieldDesc) -> List[Place]:
 
 @lru_cache(maxsize=None)
 def _ramified_places(field: GlobalFieldDesc) -> Tuple[Place, ...]:
-    return tuple(_ramified_places_impl(field))
-
-
-def _ramified_places_impl(field: GlobalFieldDesc) -> List[Place]:
     """Finite places dividing the discriminant (number fields), or all
     ramified places including the degree place (function fields)."""
     if field.kind == RATIONAL or field.kind == RATFUNC:
-        return []
+        return ()
+    out = []
     if field.kind == QUADRATIC:
-        out = []
         for p in sorted(factorize(abs(field.disc))):
             pl, = places_above(field, p)
             if pl.splitting != RAMIFIED:
                 raise InvariantError(f"{p} divides the discriminant but is not ramified")
             out.append(pl)
-        return out
-    F = gf(field.q)
-    out = []
-    _, fact = ffpoly.pfactor(F, field.fpoly)
+        return tuple(out)
+    _, fact = ffpoly.pfactor(gf(field.q), field.fpoly)
     for pi in sorted(fact):
         pl, = places_above(field, pi)
         out.append(pl)
     if ffpoly.pdeg(field.fpoly) % 2 == 1:
         out.extend(places_above(field, INFINITY))
-    return out
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,7 @@ a monic defining polynomial x^2 + b*x + c that is unramified (irreducible
 reduction) or ramified through a validated shape.  Elements are stored as
 exact coordinates in the power basis {1, theta} of the defining polynomial;
 the public view is a digit expansion in a designated uniformizer with
-residue-field digits, plus a precision level (the element is certified
-modulo pi^precision).
+residue-field digits.
 
 The package normalizes the Haar measure by mu(O_v) = p^(-disc_exponent/2),
 and the standard additive character is psi(trace(x)) with
@@ -37,16 +36,8 @@ class LocalFieldError(Exception):
     pass
 
 
-class IndeterminateValuation(LocalFieldError):
-    """All known digits vanish but the element is not certified zero."""
-
-
 class WrongBase(LocalFieldError):
     """Operation applied to an element over the wrong kind of base field."""
-
-
-class PrecisionLoss(LocalFieldError):
-    pass
 
 
 class InvalidDefiningPolynomial(LocalFieldError):
@@ -227,34 +218,6 @@ class LocalFieldDesc:
             return base
         b, c = self.poly
         return f"{base}[x]/(x^2 + ({b})x + ({c}))"
-
-    def to_config(self) -> dict:
-        cfg = {"p": self.p, "base_kind": self.base_kind}
-        if self.rel_degree == 2:
-            b, c = self.poly
-            if self.base_kind == P_ADIC:
-                cfg["poly"] = {"b": str(b), "c": str(c)}
-            else:
-                cfg["poly"] = {
-                    "b": {str(e): co for e, co in b.terms},
-                    "c": {str(e): co for e, co in c.terms},
-                }
-        return cfg
-
-    @staticmethod
-    def from_config(cfg: dict) -> "LocalFieldDesc":
-        p = int(cfg["p"])
-        kind = cfg["base_kind"]
-        base = base_field(p, kind)
-        if "poly" not in cfg or cfg["poly"] is None:
-            return base
-        raw = cfg["poly"]
-        if kind == P_ADIC:
-            b, c = Fraction(raw["b"]), Fraction(raw["c"])
-        else:
-            b = {int(e): co for e, co in raw["b"].items()}
-            c = {int(e): co for e, co in raw["c"].items()}
-        return quadratic_extension(base, b, c)
 
 
 @lru_cache(maxsize=None)
@@ -470,19 +433,18 @@ def _expand_digits(field: LocalFieldDesc, coords: Coords, start: int, count: int
 
 
 class LocalElement:
-    """An element of a local field: exact coordinate representative plus a
-    precision level.  ``digits`` is the expansion in the designated
-    uniformizer from the valuation, capped at DEFAULT_DIGITS.
+    """An element of a local field, given by exact coordinates.  ``digits``
+    is the expansion in the designated uniformizer from the valuation, capped
+    at DEFAULT_DIGITS (1/3 in Q_2, say, has an infinite expansion).
 
     Immutable; all arithmetic returns fresh objects.
     """
 
-    __slots__ = ("field", "coords", "precision", "_val")
+    __slots__ = ("field", "coords", "_val")
 
-    def __init__(self, field: LocalFieldDesc, coords: Coords, precision=math.inf):
+    def __init__(self, field: LocalFieldDesc, coords: Coords):
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "_val", _cval(field, coords))
 
     def __setattr__(self, *a):
@@ -515,16 +477,13 @@ class LocalElement:
         return cls(field, (_scalar(field, c0), _scalar(field, c1)))
 
     @classmethod
-    def from_digits(cls, field: LocalFieldDesc, valuation: int, digits,
-                    precision=None) -> "LocalElement":
-        """Element known modulo pi^precision with the given digit prefix."""
-        if precision is None:
-            precision = valuation + len(digits)
+    def from_digits(cls, field: LocalFieldDesc, valuation: int, digits) -> "LocalElement":
+        """The element sum_j digits[j] * pi^(valuation + j)."""
         coords = (_szero(field), _szero(field))
         for j, d in enumerate(digits):
             term = _cmul(field, _clift(field, d), _pi_power(field, valuation + j))
             coords = _cadd(coords, term)
-        return cls(field, coords, precision)
+        return cls(field, coords)
 
     @classmethod
     def uniformizer(cls, field: LocalFieldDesc) -> "LocalElement":
@@ -533,25 +492,21 @@ class LocalElement:
     # -- views ----------------------------------------------------------------
 
     def is_zero(self) -> bool:
-        """True when the representative is exactly zero (the zero sentinel)."""
+        """True for the zero element."""
         return self._val is None
 
     @property
     def digits(self) -> Tuple:
         if self._val is None:
             return ()
-        count = DEFAULT_DIGITS
-        if self.precision != math.inf:
-            count = max(0, min(count, int(self.precision) - self._val))
-        return _expand_digits(self.field, self.coords, self._val, count)
+        return _expand_digits(self.field, self.coords, self._val, DEFAULT_DIGITS)
 
     def __repr__(self) -> str:
         if self.is_zero():
             return f"0 in {self.field.describe()}"
         prefix = self.digits[:6]
         v = self._val
-        return (f"<{self.field.describe()}: v={v}, digits {list(prefix)}..., "
-                f"prec={self.precision}>")
+        return f"<{self.field.describe()}: v={v}, digits {list(prefix)}...>"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LocalElement):
@@ -569,24 +524,14 @@ class LocalElement:
 
     def __add__(self, other: "LocalElement") -> "LocalElement":
         self._check_field(other)
-        return LocalElement(self.field, _cadd(self.coords, other.coords),
-                            min(self.precision, other.precision))
+        return LocalElement(self.field, _cadd(self.coords, other.coords))
 
     def __neg__(self) -> "LocalElement":
-        return LocalElement(self.field, _cneg(self.coords), self.precision)
+        return LocalElement(self.field, _cneg(self.coords))
 
     def __mul__(self, other: "LocalElement") -> "LocalElement":
         self._check_field(other)
-        # v(x) >= precision when the representative is zero but inexact
-        vs = self._val if self._val is not None else self.precision
-        vo = other._val if other._val is not None else other.precision
-        prec = math.inf
-        if other.precision != math.inf:
-            prec = vs + other.precision
-        if self.precision != math.inf:
-            prec = min(prec, vo + self.precision)
-        return LocalElement(self.field, _cmul(self.field, self.coords, other.coords),
-                            prec)
+        return LocalElement(self.field, _cmul(self.field, self.coords, other.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -621,20 +566,8 @@ class UnitAngle:
 
 
 def valuation(x: LocalElement):
-    """pi-adic valuation; math.inf for the exact zero.
-
-    Raises IndeterminateValuation when every certified digit vanishes but
-    the precision is finite (the representative cannot witness v(x)).
-    """
-    if x._val is None:
-        if x.precision == math.inf:
-            return math.inf
-        raise IndeterminateValuation(
-            f"zero representative at finite precision {x.precision}")
-    if x.precision != math.inf and x._val >= x.precision:
-        raise IndeterminateValuation(
-            f"all digits below precision {x.precision} vanish")
-    return x._val
+    """pi-adic valuation; math.inf for zero."""
+    return math.inf if x._val is None else x._val
 
 
 def abs_value(x: LocalElement) -> PosRealExact:
@@ -651,8 +584,6 @@ def lambda_fractional(x: LocalElement) -> Fraction:
         raise WrongBase("fractional part is defined on p-adic base fields")
     if x.field.rel_degree != 1:
         raise WrongBase("fractional part applies to elements of Q_p itself")
-    if x.precision < 0:
-        raise PrecisionLoss(f"element only known modulo pi^{x.precision}")
     q = x.coords[0]
     if q == 0:
         return Fraction(0)
@@ -669,8 +600,6 @@ def residue_coefficient_angle(x: LocalElement) -> UnitAngle:
     """Angle a_{-1}/p from the t^(-1) coefficient of an F_p((t)) element."""
     if x.field.base_kind != LAURENT or x.field.rel_degree != 1:
         raise WrongBase("residue coefficient is defined on F_p((t)) itself")
-    if x.precision < 0:
-        raise PrecisionLoss(f"element only known modulo pi^{x.precision}")
     a = x.coords[0].coeff(-1)
     return UnitAngle.make(Fraction(a, x.field.p))
 
@@ -686,19 +615,12 @@ def trace_to_base(x: LocalElement) -> LocalElement:
         raise WrongBase("trace_to_base needs a quadratic extension")
     b, _ = field.poly
     tr = x.coords[0] + x.coords[0] - b * x.coords[1]
-    prec = x.precision
-    if prec != math.inf:
-        prec = math.floor(prec / field.e)
-        if prec < 0:
-            raise PrecisionLoss(f"trace precision {prec} < 0")
     base = field.base()
-    return LocalElement(base, (tr, _szero(base)), prec)
+    return LocalElement(base, (tr, _szero(base)))
 
 
 def standard_character(x: LocalElement) -> UnitAngle:
     """The standard additive character psi(trace(x)) as a unit angle."""
-    if x.precision < 0:
-        raise PrecisionLoss(f"element only known modulo pi^{x.precision}")
     y = trace_to_base(x) if x.field.rel_degree == 2 else x
     if y.field.base_kind == P_ADIC:
         return UnitAngle.make(-lambda_fractional(y))

@@ -10,6 +10,7 @@ archimedean ``log alpha_v``), live in :class:`LogValue`: an exact formal sum
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 from typing import Dict
@@ -19,24 +20,97 @@ class InvariantError(RuntimeError):
     """An internal invariant failed: a defect in the library, not bad input."""
 
 
-def factorize(n: int) -> Dict[int, int]:
-    """Trial-division factorization of a positive integer."""
-    if n <= 0:
-        raise ValueError(f"expected a positive integer, got {n}")
-    out: Dict[int, int] = {}
+# Miller-Rabin with these 13 bases is exact below _MR_LIMIT (Sorenson and
+# Webster, "Strong pseudoprimes to twelve prime bases", Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _trial_divide(n: int, out: Dict[int, int], stop=math.inf):
+    """Divide out d = 2, 3, 5, 7, 9, ... below ``stop`` while d^2 <= n into
+    ``out``; return the cofactor and whether it is 1 or a prime."""
     d = 2
-    while d * d <= n:
+    while d < stop and d * d <= n:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
-    return out
+    return n, d * d > n
+
+
+def factorize(n: int) -> Dict[int, int]:
+    """Factorization of a positive integer, primes in increasing order.
+
+    Trial division below 1000, which is complete for n < 10^6; a larger
+    cofactor is split by integer roots, a primality test and Pollard rho."""
+    if n <= 0:
+        raise ValueError(f"expected a positive integer, got {n}")
+    out: Dict[int, int] = {}
+    n, done = _trial_divide(n, out, 1000)
+    if done:
+        if n > 1:
+            out[n] = out.get(n, 0) + 1
+        return out
+    _split(n, 1, out)
+    return dict(sorted(out.items()))
+
+
+def _split(n: int, k: int, out: Dict[int, int]) -> None:
+    """Add the factorization of n^k to ``out``; n has no factor below 1000.
+
+    Roots come first: rho needs about sqrt(p) steps on p^2, and p^2 may lie
+    past the Miller-Rabin range while p does not."""
+    for e in range(2, n.bit_length() // 9 + 1):  # a root is at least 1000 > 2^9
+        r = 1 << -(-n.bit_length() // e)  # Newton's method from above the root
+        while (y := ((e - 1) * r + n // r ** (e - 1)) // e) < r:
+            r = y
+        if r ** e == n:
+            return _split(r, k * e, out)
+    if is_prime(n):
+        out[n] = out.get(n, 0) + k
+        return
+    d = _pollard_brent(n)
+    _split(d, k, out)
+    _split(n // d, k, out)
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of a composite n by Brent's cycle search on
+    y -> y^2 + c for c = 1, 2, ..."""
+    for c in itertools.count(1):
+        y, r, g = 2, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
+                if g != 1:
+                    break
+            r *= 2
+        if g != n:
+            return g
 
 
 def is_prime(n: int) -> bool:
-    return n >= 2 and factorize(n) == {n: 1}
+    """Trial division below 10^6 and from _MR_LIMIT on, Miller-Rabin between."""
+    if not 10 ** 6 <= n < _MR_LIMIT:
+        out: Dict[int, int] = {}
+        _trial_divide(n, out)
+        return n >= 2 and not out
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 class PosRealExact:

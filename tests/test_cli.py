@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import time
 import warnings
 
 import pytest
@@ -287,12 +288,44 @@ def test_verify_that_ran_nothing_fails(capsys, argv):
     assert obj["pass"] is False and "zero cases" in obj["detail"]
 
 
+# -- large place codes ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field, idele, code, needle", [
+    # inert in Q(i): the residue field has (10^9 + 7)^2 elements
+    ("Q(i)", "p1000000007#0:1", 0, '"symbolic": [[2, "-1"], [1000000007, "-2"]]'),
+    # degree 49 over F_2: reducible, and x^49 + x^9 + 1
+    ("Fq(t) q=2", "p1000000000000000:1", 2, "not monic irreducible"),
+    ("Fq(t) q=2", "p562949953421825:1", 0, '"symbolic": [[2, "-48"]]'),
+    # inert in Q(sqrt 5): (10^15 + 37)^2 is a perfect power past Miller-Rabin
+    ("Q(sqrt 5)", "p1000000000000037:1", 0, '[1000000000000037, "-2"]'),
+    ("Q", "p1000000000000003:1", 2, "1000000000000003 is not a prime"),
+], ids=["Qi-inert", "F2-reducible", "F2-irreducible", "Qsqrt5-inert", "Q-composite"])
+def test_large_place_codes(capsys, field, idele, code, needle):
+    t = time.perf_counter()
+    got, out, err = run(capsys, "chi", "--field", field, "--idele", idele,
+                        "--output", "json")
+    assert time.perf_counter() - t < 0.2
+    assert got == code
+    assert needle in (out if code == 0 else err)
+    assert len((out if code == 0 else err).strip().splitlines()) == 1
+
+
 # -- grammar fuzz -------------------------------------------------------------------
 
 FUZZ_FIELDS = (["Q", "Q(i)", "Q(sqrt 5)", "Q(sqrt-3)", "Q(sqrt 2)", "Fq(t) q=2",
-                "Fq(t) q=3", "Fq(t) q=4", "hyperelliptic q=3 f=0,-1,0,1"],
+                "Fq(t) q=3", "Fq(t) q=4", "hyperelliptic q=3 f=0,-1,0,1",
+                # radicands near 10^12-10^15: prime, prime, 14902357 * 67103479
+                "Q(sqrt 1000000000039)", "Q(sqrt -10000000000037)",
+                "Q(sqrt 1000000000000003)"],
                ["Z", "", "Q(sqrt 12)", "Q(sqrt 1)", "Q(sqrt 0)", "Q(sqrt x)", "Fq(t)",
-                "Fq(t) q=6", "Fq(t) q=0", "hyperelliptic q=3", "hyperelliptic q=0 f=1"])
+                "Fq(t) q=6", "Fq(t) q=0", "hyperelliptic q=3", "hyperelliptic q=0 f=1",
+                "Q(sqrt 1000000000000004)"])
+# place codes past trial division: degree-49 polynomials over F_2 (10^15 is
+# reducible, x^49 + x^9 + 1 is not), an inert prime of Q(i), and a prime and
+# a composite near 10^15
+FUZZ_BIG_CODES = [10 ** 15, 1000000007, 562949953421825, 1000000000000037,
+                  1000000000000003]
 FUZZ_VALUES = ["-2", "-1", "0", "1", "2", "0.5", "2.5", "1e-3", "abc", "nan", "", "inf"]
 
 
@@ -308,7 +341,8 @@ def idele_literals(draw):
     for _ in range(draw(st.integers(0, 2))):
         sel = draw(st.sampled_from(["p", "inf"]))
         if sel == "p":
-            sel += str(draw(st.integers(-30, 30)))
+            big = draw(st.booleans())
+            sel += str(draw(st.sampled_from(FUZZ_BIG_CODES) if big else st.integers(-30, 30)))
         if draw(st.booleans()):
             sel += f"#{draw(st.integers(-1, 2))}"
         parts.append(f"{sel}:{draw(st.sampled_from(FUZZ_VALUES))}")

@@ -43,6 +43,20 @@ def test_irreducible_counts():
         assert len(irr) == q * (q - 1) // 2
 
 
+def test_is_irreducible_matches_enumeration():
+    for q, max_deg in ((2, 5), (3, 5), (4, 5), (5, 5), (9, 3)):
+        F = gf(q)
+        irr = set(ffpoly.monic_irreducibles(q, max_deg))
+        for d in range(max_deg + 1):
+            for f in ffpoly.monic_polys(F, d):
+                assert ffpoly.is_irreducible(F, f) == (f in irr), (q, f)
+    # degree 49 over F_2, past any enumeration: 10^15 is reducible,
+    # x^49 + x^9 + 1 is irreducible
+    F = gf(2)
+    assert not ffpoly.is_irreducible(F, ffpoly.int_to_poly(F, 10 ** 15))
+    assert ffpoly.is_irreducible(F, ffpoly.int_to_poly(F, 2 ** 49 + 2 ** 9 + 1))
+
+
 def test_factor_roundtrip():
     F = gf(3)
     f = ffpoly.pmul(F, ffpoly.pmul(F, (0, 1), (0, 1)), (1, 1))  # t^2 (t+1)

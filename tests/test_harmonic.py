@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -163,7 +162,7 @@ def brute_coset_integral(K, m, depth_past=1):
     level = max(-K.different_exponent, m) + depth_past
     total = CycScalar.zero(K.p)
     for vec in itertools.product(K.residue_reps(), repeat=level - m):
-        x = LocalElement.from_digits(K, m, vec, precision=math.inf)
+        x = LocalElement.from_digits(K, m, vec)
         total = total + CycScalar.from_angle(K.p, standard_character(x))
     return total.scale_measure(coset_measure(K, level)).canonical()
 
@@ -344,10 +343,10 @@ def direct_transform_value(f, xvec):
     by at most pi^(-d) O, where chi is trivial."""
     K = f.field
     Mh, _ = transform_shape(K, f.support_bound, f.level)
-    x = LocalElement.from_digits(K, -Mh, xvec, precision=math.inf)
+    x = LocalElement.from_digits(K, -Mh, xvec)
     total = CycScalar.zero(K.p)
     for yvec, val in f.values.items():
-        y = LocalElement.from_digits(K, -f.support_bound, yvec, precision=math.inf)
+        y = LocalElement.from_digits(K, -f.support_bound, yvec)
         total = total + val * CycScalar.from_angle(K.p, standard_character(-(x * y)))
     mu = PosRealExact.prime_power(K.p, -K.f * f.level) * local_measure(K)
     return total.scale_measure(mu)

@@ -7,10 +7,8 @@ import pytest
 from adelic.localfields import (
     LAURENT,
     P_ADIC,
-    IndeterminateValuation,
     InvalidDefiningPolynomial,
     LocalElement,
-    LocalFieldDesc,
     UnitAngle,
     WrongBase,
     abs_value,
@@ -24,6 +22,7 @@ from adelic.localfields import (
     validated_quadratics,
     valuation,
 )
+from adelic.suite import local_field_roster
 from adelic.values import PosRealExact
 
 
@@ -80,9 +79,8 @@ def test_valuation_additive_random():
 def test_valuation_zero_and_indeterminate():
     K = Qp(3)
     assert valuation(LocalElement.zero(K)) == math.inf
-    fuzzy = LocalElement.from_digits(K, 0, [0, 0, 0])
-    with pytest.raises(IndeterminateValuation):
-        valuation(fuzzy)
+    # all digits zero: the exact zero, not an element of unknown valuation
+    assert valuation(LocalElement.from_digits(K, 0, [0, 0, 0])) == math.inf
 
 
 # -- absolute values ----------------------------------------------------------
@@ -202,7 +200,7 @@ def test_character_is_additive_exhaustive():
         reps = []
         for d0 in K.residue_reps():
             for d1 in K.residue_reps():
-                reps.append(LocalElement.from_digits(K, -2, [d0, d1], precision=math.inf))
+                reps.append(LocalElement.from_digits(K, -2, [d0, d1]))
         for x in reps[: 12]:
             for y in reps[: 12]:
                 lhs = standard_character(x + y)
@@ -229,13 +227,13 @@ def test_character_conductor_is_inverse_different():
         d = K.different_exponent
         triv = True
         for digs in [(r,) for r in K.residue_reps()]:
-            x = LocalElement.from_digits(K, -d, digs, precision=math.inf)
+            x = LocalElement.from_digits(K, -d, digs)
             if not standard_character(x).is_zero():
                 triv = False
         assert triv, f"character nontrivial on inverse different of {K.describe()}"
         found = any(
             not standard_character(
-                LocalElement.from_digits(K, -d - 1, (r,), precision=math.inf)
+                LocalElement.from_digits(K, -d - 1, (r,))
             ).is_zero()
             for r in K.residue_reps()
         )
@@ -283,33 +281,27 @@ def test_descriptor_invariants():
                 assert valuation(pi) == 1
 
 
-def test_descriptor_config_roundtrip():
-    for K in (Qp(3), Fpt(2), quadratic_extension(Qp(2), 0, -6),
-              quadratic_extension(Fpt(3), 0, {1: -1})):
-        cfg = K.to_config()
-        assert LocalFieldDesc.from_config(cfg) == K
-
-
-# -- digits and precision ---------------------------------------------------------
+# -- digits ----------------------------------------------------------------------
 
 
 def test_from_digits_roundtrip():
     K = quadratic_extension(Qp(3), 0, -3)
     digs = (1, 2, 0, 1, 2)
-    x = LocalElement.from_digits(K, -2, digs, precision=math.inf)
+    x = LocalElement.from_digits(K, -2, digs)
     assert x.digits[: 5] == digs
     assert valuation(x) == -2
+    # every roster field: a nonzero leading digit fixes the valuation
+    for K in local_field_roster():
+        rng = random.Random(K.describe())
+        reps = K.residue_reps()
+        digs = (rng.choice(reps[1:]),) + tuple(rng.choice(reps) for _ in range(5))
+        x = LocalElement.from_digits(K, -2, digs)
+        assert valuation(x) == -2, K.describe()
+        assert x.digits[: len(digs)] == digs, K.describe()
+        assert valuation(x + (-x)) == math.inf, K.describe()
 
 
 def test_first_digit_nonzero():
     for K in (Qp(5), quadratic_extension(Qp(5), 0, -10)):
         x = LocalElement.from_rational(K, Fraction(50))
         assert x.digits[0] != 0 if K.f == 1 else x.digits[0] != (0, 0)
-
-
-def test_precision_propagation():
-    K = Qp(2)
-    x = LocalElement.from_digits(K, 0, [1, 1], precision=2)
-    y = LocalElement.from_rational(K, 4)
-    assert (x + y).precision == 2
-    assert (x * y).precision == 4  # v(y) + prec(x)

@@ -1,8 +1,11 @@
+import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from adelic.globalfields import GlobalFieldDesc, principal_idele
 from adelic.values import LogValue, PosRealExact, factorize, is_prime
 
 
@@ -16,6 +19,52 @@ def test_factorize_basics():
 
 def test_is_prime():
     assert [p for p in range(2, 30) if is_prime(p)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+    n = 10 ** 5
+    sieve = bytearray([0, 0]) + bytearray([1]) * (n - 2)
+    for i in range(2, 317):
+        if sieve[i]:
+            sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
+    assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+    # Carmichael numbers and strong pseudoprimes to small bases
+    for k in (561, 41041, 2047, 3215031751, 3825123056546413051):
+        assert not is_prime(k), k
+    assert is_prime(2 ** 61 - 1) and is_prime(10 ** 15 + 37)
+
+
+def trial_division(n):
+    out, d = {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        out[n] = 1
+    return out
+
+
+def test_factorize_matches_trial_division():
+    for n in range(1, 20001):
+        assert factorize(n) == trial_division(n), n
+    rng = random.Random(11)
+    primes = [p for p in range(10 ** 7, 10 ** 7 + 400) if trial_division(p) == {p: 1}]
+    for _ in range(20):
+        p, q = rng.choice(primes), rng.choice(primes)
+        assert factorize(p * q) == ({p: 2} if p == q else {min(p, q): 1, max(p, q): 1})
+    # a square beyond trial division: rho would need about sqrt(p) steps
+    assert factorize((10 ** 9 + 7) ** 2) == {10 ** 9 + 7: 2}
+    assert factorize(10 ** 15 + 3) == {14902357: 1, 67103479: 1}
+
+
+@pytest.mark.parametrize("work", [
+    lambda: principal_idele(GlobalFieldDesc.quadratic(-1), (10000044, 1)),  # prime norm
+    lambda: factorize(99999999999973),
+    lambda: GlobalFieldDesc.quadratic(100000000000031),
+], ids=["principal-idele", "factorize", "quadratic"])
+def test_large_integers_are_fast(work):
+    t = time.perf_counter()
+    work()
+    assert time.perf_counter() - t < 0.2
 
 
 def test_posreal_from_rational_roundtrip():
