@@ -66,7 +66,7 @@ from .localfields import (
     validated_quadratics,
 )
 from .suite import check_inversion, check_lemmas, run_battery
-from .values import LogValue, is_prime
+from .values import LogValue, PrimalityUnproven, is_prime
 import random
 
 
@@ -506,7 +506,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except RadiusExceeded as exc:
         print(f"radius exceeded: {exc}", file=sys.stderr)
         return 2
-    except (GlobalFieldError, LocalFieldError) as exc:
+    except (GlobalFieldError, LocalFieldError, PrimalityUnproven) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -232,17 +232,11 @@ def verify_serre(field: GlobalFieldDesc, alpha: Idele,
     function fields; compared within check_tol on number fields.
     """
     start = time.perf_counter()
-    kappa = canonical_idele(field)
-    beta = alpha.inv() * kappa
-    points = 0
+    lhs, points = h0_with_count(field, alpha.inv() * canonical_idele(field), params)
+    rhs = h0(field, alpha, params) - chi(field, alpha)
     if field.kind == RATFUNC:
-        lhs = h0(field, beta, params)
-        rhs = h0(field, alpha, params) - chi(field, alpha)
         passed = lhs.eq(rhs, tol=0.0)
     else:
-        lhs, n1 = h0_with_count(field, beta, params)
-        rhs = h0(field, alpha, params) - chi(field, alpha)
-        points = n1
         passed = abs(float(lhs) - float(rhs)) < check_tol
     return Report("serre", field.describe(), alpha.describe(), lhs, rhs,
                   passed, check_tol, lattice_points_used=points,

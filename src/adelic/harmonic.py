@@ -15,6 +15,12 @@ its measure factor has only exponents in [0, 1).  Vanishing of a character
 sum is therefore decided exactly, by an empty term table; a complex-float
 evaluation is kept around as a numeric cross-check, not as the arbiter.
 Step-function tables likewise never store a zero value.
+
+Every measure here is a half-integral power of p, and a transform maps a
+function whose values share one measure factor to another such function.
+So that is an invariant: a step function whose values carry two different
+measure factors is refused, and so are sums and comparisons of nonzero
+scalars with different factors.
 """
 
 from __future__ import annotations
@@ -31,13 +37,9 @@ from .localfields import (
     LocalElement,
     LocalFieldDesc,
     UnitAngle,
-    _cadd,
-    _clift,
-    _cmul,
     _cneg,
+    _digits_coords,
     _expand_digits,
-    _pi_power,
-    _szero,
     local_measure,
     standard_character,
 )
@@ -86,20 +88,6 @@ def _fold_cycles(p: int, D: int, work: Dict[int, object]) -> Dict[int, object]:
     return {m: c for m, c in work.items() if c}
 
 
-def _gauss_sqrt_terms(p: int) -> Dict[Fraction, Fraction]:
-    """Terms of a cyclotomic expression equal to sqrt(p), when one exists
-    with p-power angles: p = 2 or p = 1 mod 4."""
-    if p == 2:
-        return {Fraction(1, 8): Fraction(1), Fraction(7, 8): Fraction(1)}
-    if p % 4 == 1:
-        return {
-            Fraction(a, p): (Fraction(1) if pow(a, (p - 1) // 2, p) == 1
-                             else Fraction(-1))
-            for a in range(1, p)
-        }
-    raise HarmonicError(f"sqrt({p}) is not a {p}-power cyclotomic number")
-
-
 def _split_measure(m: PosRealExact) -> Tuple[Fraction, PosRealExact]:
     """m = ratio * residual, ratio rational and residual exponents in [0, 1)."""
     ratio = Fraction(1)
@@ -120,6 +108,9 @@ class CycScalar:
     coefficients and moves the rational part of the measure factor into the
     coefficients; zero has measure factor 1.  Under one measure factor the
     term table is then unique, and every operation keeps the form.
+
+    Sums, differences and comparisons need one measure factor: nonzero
+    scalars with different factors raise HarmonicError; zero goes with any.
     """
 
     __slots__ = ("p", "terms", "measure_factor")
@@ -188,25 +179,14 @@ class CycScalar:
     # -- arithmetic ---------------------------------------------------------------
 
     def _aligned_terms(self, other: "CycScalar"):
-        """Rewrite both scalars over a common measure factor, if possible."""
+        """Both term tables over their common measure factor; a zero operand
+        takes the other's."""
         if self.measure_factor == other.measure_factor:
             return self.terms, other.terms, self.measure_factor
         if not self.terms:
             return {}, other.terms, other.measure_factor
         if not other.terms:
             return self.terms, {}, self.measure_factor
-        # the smaller factor (1 before p^(1/2)) takes the sum, in either order
-        if sorted(other.measure_factor.exponents.items()) < \
-                sorted(self.measure_factor.exponents.items()):
-            tb, ta, mf = other._aligned_terms(self)
-            return ta, tb, mf
-        # both factors are canonical and differ, so the residual is not 1: a
-        # sqrt(p) leftover is absorbed as a Gauss sum (raises for p = 3 mod 4)
-        scale, residual = _split_measure(other.measure_factor / self.measure_factor)
-        if residual == PosRealExact.prime_power(self.p, Fraction(1, 2)):
-            bt = CycScalar(self.p, {r: c * scale for r, c in other.terms.items()})
-            root = CycScalar(self.p, _gauss_sqrt_terms(self.p))
-            return self.terms, (bt * root).terms, self.measure_factor
         raise HarmonicError(
             f"incompatible measure factors {self.measure_factor} / {other.measure_factor}")
 
@@ -248,10 +228,7 @@ class CycScalar:
         return CycScalar(self.p, self.terms, self.measure_factor * m)
 
     def eq(self, other: "CycScalar") -> bool:
-        try:
-            ta, tb, _ = self._aligned_terms(other)
-        except HarmonicError:
-            return False  # both nonzero, with no common measure factor
+        ta, tb, _ = self._aligned_terms(other)
         return ta == tb
 
     def __eq__(self, other) -> bool:
@@ -298,7 +275,8 @@ class StepFunction:
 
     Supported in pi^(-M) O_v, constant on cosets of pi^N O_v.  ``values``
     maps canonical digit vectors (positions -M .. N-1, lowest lifts) to
-    nonzero scalars; missing cosets are zero, and zero values are dropped.
+    nonzero scalars with one measure factor; missing cosets are zero, and
+    zero values are dropped.
     """
 
     field: LocalFieldDesc
@@ -310,8 +288,18 @@ class StepFunction:
         if self.support_bound + self.level < 0:
             raise HarmonicError(
                 f"support bound {self.support_bound} + level {self.level} < 0")
-        object.__setattr__(self, "values",
-                           {k: v for k, v in self.values.items() if v.terms})
+        values = {k: v for k, v in self.values.items() if v.terms}
+        object.__setattr__(self, "values", values)
+        mf = self.measure_factor
+        if any(v.measure_factor != mf for v in values.values()):
+            raise HarmonicError("step function values with different measure factors")
+
+    @property
+    def measure_factor(self) -> PosRealExact:
+        """The measure factor of every stored value; 1 when none is stored."""
+        for v in self.values.values():
+            return v.measure_factor
+        return PosRealExact.one()
 
     @property
     def length(self) -> int:
@@ -430,18 +418,12 @@ def character_coset_integral(field: LocalFieldDesc, m: int) -> CycScalar:
 def _kernel_angles(field: LocalFieldDesc, s: int) -> Tuple[Fraction, ...]:
     """Angles of chi(-c * pi^s) for c = 1, theta, theta^2 (only c = 1 when
     the field has degree 1)."""
-    pis = _pi_power(field, s)
+    pis = LocalElement.from_digits(field, s, [1 if field.f == 1 else (1, 0)])
     if field.rel_degree == 1:
-        elt = LocalElement(field, _cneg(pis))
-        return (standard_character(elt).r,)
-    one = (_pi_power(field, 0))
-    theta = (_szero(field), _pi_power(field, 0)[0])
-    theta2 = _cmul(field, theta, theta)
-    out = []
-    for c in (one, theta, theta2):
-        elt = LocalElement(field, _cneg(_cmul(field, c, pis)))
-        out.append(standard_character(elt).r)
-    return tuple(out)
+        return (standard_character(-pis).r,)
+    theta = LocalElement.from_coords(field, 0, 1)
+    return tuple(standard_character(-(c * pis)).r
+                 for c in (LocalElement.one(field), theta, theta * theta))
 
 
 def transform_shape(field: LocalFieldDesc, M: int, N: int) -> Tuple[int, int]:
@@ -493,10 +475,10 @@ def fourier(f: StepFunction) -> StepFunction:
                        for b0, b1 in reps
                        for w0, w1 in [(b0 * A[0] + b1 * A[1], b0 * A[1] + b1 * A[2])]}
 
-    # per measure factor, one flat integer table indexed by
+    # one flat integer table indexed by
     # (output coset in product order) * D + exponent of zeta_D
     n_out = len(reps) ** len(out_pos)
-    tables: Dict[PosRealExact, List[int]] = {}
+    table = [0] * (n_out * D)
     for yvec, val in f.values.items():
         angles = [0]  # the linear form of y, on every output coset
         for i in out_pos:
@@ -506,50 +488,36 @@ def fourier(f: StepFunction) -> StepFunction:
             angles = [s + c for s in angles for c in contrib]
         terms = [(r.numerator * (D // r.denominator), int(c * L))
                  for r, c in val.terms.items()]
-        table = tables.get(val.measure_factor)
-        if table is None:
-            table = tables[val.measure_factor] = [0] * (n_out * D)
         base = 0
         for ang in angles:
             for m, c in terms:
                 table[base + (ang + m) % D] += c
             base += D
 
-    # fold the rational part of mf * mu into one coefficient scale per group
-    mu = coset_measure(field, N)
-    groups = []
-    for mf, table in tables.items():
-        ratio, residual = _split_measure(mf * mu)
-        scale = ratio / L
-        groups.append((table, scale.numerator, scale.denominator, residual))
+    # fold the rational part of mf * mu into one coefficient scale
+    ratio, residual = _split_measure(f.measure_factor * coset_measure(field, N))
+    scale = ratio / L
+    num, den = scale.numerator, scale.denominator
     angle_of: Dict[int, Fraction] = {}
     out_values: Dict[DigitVec, CycScalar] = {}
     for xi, xvec in enumerate(itertools.product(reps, repeat=len(out_pos))):
         lo = xi * D
-        parts = []
-        for table, num, den, residual in groups:
-            work = _fold_cycles(p, D, {m: c for m, c in enumerate(table[lo:lo + D]) if c})
-            if work:
-                terms = {}
-                for m, c in work.items():
-                    r = angle_of.get(m)
-                    if r is None:
-                        r = angle_of[m] = Fraction(m, D)
-                    terms[r] = Fraction(c * num, den)
-                parts.append(CycScalar._raw(p, terms, residual))
-        if parts:
-            out_values[xvec] = sum(parts[1:], parts[0])
+        work = _fold_cycles(p, D, {m: c for m, c in enumerate(table[lo:lo + D]) if c})
+        if work:
+            terms = {}
+            for m, c in work.items():
+                r = angle_of.get(m)
+                if r is None:
+                    r = angle_of[m] = Fraction(m, D)
+                terms[r] = Fraction(c * num, den)
+            out_values[xvec] = CycScalar._raw(p, terms, residual)
     return StepFunction(field, Mh, Nh, out_values)
 
 
 @lru_cache(maxsize=200_000)
 def negate_coset(field: LocalFieldDesc, start: int, vec: DigitVec) -> DigitVec:
     """Digit vector of the negative of a coset representative."""
-    coords = (_szero(field), _szero(field))
-    for j, d in enumerate(vec):
-        coords = _cadd(coords, _cmul(field, _clift(field, d),
-                                     _pi_power(field, start + j)))
-    return _expand_digits(field, _cneg(coords), start, len(vec))
+    return _expand_digits(field, _cneg(_digits_coords(field, start, vec)), start, len(vec))
 
 
 @dataclass

@@ -411,6 +411,14 @@ def _pi_power(field: LocalFieldDesc, k: int) -> Coords:
     return _cmul(field, _pi_power(field, k + 1), _pi_inverse(field))
 
 
+def _digits_coords(field: LocalFieldDesc, start: int, digits) -> Coords:
+    """Coordinates of sum_j lift(digits[j]) * pi^(start + j)."""
+    coords = (_szero(field), _szero(field))
+    for j, d in enumerate(digits):
+        coords = _cadd(coords, _cmul(field, _clift(field, d), _pi_power(field, start + j)))
+    return coords
+
+
 def _expand_digits(field: LocalFieldDesc, coords: Coords, start: int, count: int) -> Tuple:
     """Digits of the element at positions start..start+count-1.
 
@@ -479,11 +487,7 @@ class LocalElement:
     @classmethod
     def from_digits(cls, field: LocalFieldDesc, valuation: int, digits) -> "LocalElement":
         """The element sum_j digits[j] * pi^(valuation + j)."""
-        coords = (_szero(field), _szero(field))
-        for j, d in enumerate(digits):
-            term = _cmul(field, _clift(field, d), _pi_power(field, valuation + j))
-            coords = _cadd(coords, term)
-        return cls(field, coords)
+        return cls(field, _digits_coords(field, valuation, digits))
 
     @classmethod
     def uniformizer(cls, field: LocalFieldDesc) -> "LocalElement":

@@ -26,7 +26,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_LIMIT = 3317044064679887385961981
 
 
-def _trial_divide(n: int, out: Dict[int, int], stop=math.inf):
+class PrimalityUnproven(ValueError):
+    """An integer past _MR_LIMIT that no Miller-Rabin base proves composite."""
+
+
+def _trial_divide(n: int, out: Dict[int, int], stop: int):
     """Divide out d = 2, 3, 5, 7, 9, ... below ``stop`` while d^2 <= n into
     ``out``; return the cofactor and whether it is 1 or a prime."""
     d = 2
@@ -42,7 +46,8 @@ def factorize(n: int) -> Dict[int, int]:
     """Factorization of a positive integer, primes in increasing order.
 
     Trial division below 1000, which is complete for n < 10^6; a larger
-    cofactor is split by integer roots, a primality test and Pollard rho."""
+    cofactor is split by integer roots, a primality test and Pollard rho;
+    the test may raise PrimalityUnproven past _MR_LIMIT."""
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     out: Dict[int, int] = {}
@@ -92,10 +97,11 @@ def _pollard_brent(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division below 10^6 and from _MR_LIMIT on, Miller-Rabin between."""
-    if not 10 ** 6 <= n < _MR_LIMIT:
+    """Trial division below 10^6, Miller-Rabin with the 13 bases from there;
+    from _MR_LIMIT on a number that passes every base raises PrimalityUnproven."""
+    if n < 10 ** 6:
         out: Dict[int, int] = {}
-        _trial_divide(n, out)
+        _trial_divide(n, out, 1000)
         return n >= 2 and not out
     d, s = n - 1, 0
     while d % 2 == 0:
@@ -110,6 +116,10 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
+    if n >= _MR_LIMIT:
+        raise PrimalityUnproven(
+            f"{n} passes Miller-Rabin to bases 2..41, which proves primality "
+            f"only below {_MR_LIMIT}")
     return True
 
 

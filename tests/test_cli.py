@@ -2,12 +2,17 @@ import contextlib
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import adelic
 from adelic.cli import main, parse_field, parse_idele, CLIError
 from adelic.globalfields import GlobalFieldDesc, idele_log_norm
 
@@ -309,6 +314,22 @@ def test_large_place_codes(capsys, field, idele, code, needle):
     assert got == code
     assert needle in (out if code == 0 else err)
     assert len((out if code == 0 else err).strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["chi", "--field", "Q", "--idele", "p10000000000000000000000000331:1"],
+    ["verify", "lemmas", "--p", "10000000000000000000000000331"],
+], ids=["chi", "verify-lemmas"])
+def test_unproven_primes_exit_cleanly(argv):
+    # a probable prime past 3.3e24 cannot be proven prime; the command runs in
+    # a separate process with a timeout, so a hang fails instead of stalling
+    src = pathlib.Path(adelic.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-m", "adelic.cli", *argv],
+                          capture_output=True, text=True, timeout=10,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 2
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert "proves primality only below" in proc.stderr
 
 
 # -- grammar fuzz -------------------------------------------------------------------

@@ -93,34 +93,42 @@ def test_cyc_canonicalization_idempotent_and_sound():
             assert abs(x.complex_value() - c.complex_value()) < 1e-12
 
 
-def test_cyc_gauss_fold_equality():
-    # zeta_8 + zeta_8^-1 equals sqrt(2) carried as a measure factor
-    a = CycScalar(2, {Fraction(1, 8): Fraction(1), Fraction(7, 8): Fraction(1)})
-    b = CycScalar.from_posreal(2, PosRealExact.prime_power(2, Fraction(1, 2)))
-    assert a.eq(b) and b.eq(a)
-    # and sqrt(5) via the quadratic Gauss sum
-    g = CycScalar(5, {Fraction(a_, 5): (Fraction(1) if pow(a_, 2, 5) == 1 else Fraction(-1))
-                      for a_ in range(1, 5)})
-    s5 = CycScalar.from_posreal(5, PosRealExact.prime_power(5, Fraction(1, 2)))
-    assert g.eq(s5)
-
-
 def test_cyc_incompatible_scalars_only_equal_when_zero():
     a = CycScalar.rational(3, 2)
     b = CycScalar.from_posreal(3, PosRealExact.prime_power(3, Fraction(1, 2)))
-    assert not a.eq(b)
+    with pytest.raises(HarmonicError):
+        a.eq(b)
     za = CycScalar.zero(3)
     zb = CycScalar(3, {}, PosRealExact.prime_power(3, Fraction(1, 2)))
     assert za.eq(zb)
 
 
-@pytest.mark.parametrize("p", [2, 5])
+@pytest.mark.parametrize("p", [2, 3, 5])
 def test_cyc_sum_independent_of_operand_order(p):
-    # the sum is written over the smaller measure factor, 1 before sqrt(p)
+    # nonzero scalars with factors 1 and sqrt(p) have no common factor, so
+    # sums, differences and comparisons raise in either order, for every p
     a = CycScalar.rational(p, 2)
     b = CycScalar.from_posreal(p, PosRealExact.prime_power(p, Fraction(1, 2)))
-    assert (a + b).to_json() == (b + a).to_json()
-    assert (a + b).measure_factor.is_one()
+    for x, y in ((a, b), (b, a)):
+        for op in (x.__add__, x.__sub__, x.eq):
+            with pytest.raises(HarmonicError):
+                op(y)
+
+
+def test_step_function_refuses_mixed_measure_factors():
+    K = base_field(3)
+    one = CycScalar.rational(3, 1)
+    s3 = CycScalar.from_posreal(3, PosRealExact.prime_power(3, Fraction(1, 2)))
+    with pytest.raises(HarmonicError):
+        StepFunction(K, 0, 1, {(0,): one, (1,): s3})
+    f = StepFunction(K, 0, 1, {(0,): one})
+    g = StepFunction(K, 0, 1, {(1,): s3})
+    with pytest.raises(HarmonicError):
+        f + g
+    # zero values are dropped before the check, and a sum keeps one factor
+    assert StepFunction(K, 0, 1, {(0,): CycScalar.zero(3), (1,): s3}).measure_factor == \
+        s3.measure_factor
+    assert (g + g).measure_factor == s3.measure_factor
 
 
 def test_cyc_mul_matches_complex():

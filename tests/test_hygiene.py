@@ -2,7 +2,8 @@
 
 Invariants are raised as typed exceptions, never ``assert``ed, because
 ``python -O`` strips asserts.  Every import is used: names that only a
-string annotation or ``__all__`` mentions count as used.
+string annotation or ``__all__`` mentions count as used.  A module imports
+another's ``_``-prefixed names only where the allowed set below says so.
 """
 
 import ast
@@ -98,6 +99,27 @@ def test_no_local_assigned_and_never_read(path):
         dead += [f"{name} in {fn.name} (line {line})" for name, line in stored.items()
                  if name not in loaded and not name.startswith("_")]
     assert not dead, f"{path.name}: assigned, never read: {dead}"
+
+
+# (importing module, imported module, name) for every private name that one
+# module of the library may import from another
+ALLOWED_PRIVATE_IMPORTS = {
+    ("globalfields", "localfields", "_sres"),
+    ("globalfields", "localfields", "_sval"),
+    ("harmonic", "localfields", "_cneg"),
+    ("harmonic", "localfields", "_digits_coords"),
+    ("harmonic", "localfields", "_expand_digits"),
+}
+
+
+def test_private_cross_module_imports_are_allowed():
+    found = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level and node.module:
+                found |= {(path.stem, node.module, alias.name) for alias in node.names
+                          if alias.name.startswith("_")}
+    assert found == ALLOWED_PRIVATE_IMPORTS
 
 
 def test_benchmark_span_targets_exist():

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from adelic.globalfields import GlobalFieldDesc, principal_idele
-from adelic.values import LogValue, PosRealExact, factorize, is_prime
+from adelic.values import LogValue, PosRealExact, PrimalityUnproven, factorize, is_prime
 
 
 def test_factorize_basics():
@@ -29,6 +29,11 @@ def test_is_prime():
     for k in (561, 41041, 2047, 3215031751, 3825123056546413051):
         assert not is_prime(k), k
     assert is_prime(2 ** 61 - 1) and is_prime(10 ** 15 + 37)
+    # from 3.3e24 on a witness still proves compositeness, but passing all
+    # 13 bases does not prove primality
+    assert not is_prime(2 ** 90)
+    with pytest.raises(PrimalityUnproven):
+        is_prime(2 ** 89 - 1)
 
 
 def trial_division(n):
@@ -54,13 +59,16 @@ def test_factorize_matches_trial_division():
     # a square beyond trial division: rho would need about sqrt(p) steps
     assert factorize((10 ** 9 + 7) ** 2) == {10 ** 9 + 7: 2}
     assert factorize(10 ** 15 + 3) == {14902357: 1, 67103479: 1}
+    # past 3.3e24, with a prime near 10^19 as one factor
+    assert factorize(1000003 * 10000000000000000051) == {1000003: 1, 10000000000000000051: 1}
 
 
 @pytest.mark.parametrize("work", [
     lambda: principal_idele(GlobalFieldDesc.quadratic(-1), (10000044, 1)),  # prime norm
     lambda: factorize(99999999999973),
     lambda: GlobalFieldDesc.quadratic(100000000000031),
-], ids=["principal-idele", "factorize", "quadratic"])
+    lambda: factorize(1000003 * 10000000000000000051),
+], ids=["principal-idele", "factorize", "quadratic", "factorize-past-mr-limit"])
 def test_large_integers_are_fast(work):
     t = time.perf_counter()
     work()
