@@ -7,8 +7,25 @@ by exp(-e_v pi |x / alpha_v|_v^{2/e_v}).  This module builds a 2x2 (or
 definite form on ideal coordinates, and evaluates sum exp(-Q) over the
 lattice with a certified truncation.
 
+Sections lattice in closed form (Cohen, A Course in Computational
+Algebraic Number Theory, 5.2): I = c * [N, omega - r] = c (Z N + Z (omega - r))
+with c rational and N | r^2 - t r + n.  Over a rational prime p, c gets p^k
+at an inert place, p^(k // 2) at a ramified one (leaving P = [p, omega - root]
+when k is odd) and p^min(k, k') over a split pair, leaving P^j with
+j = |k - k'| and P the place of larger valuation: P^j = [p^j, omega - r_j],
+r_j the root of P lifted mod p^j by Newton's method.  The parts left have
+coprime norms, so CRT joins their roots into one r.
+
+Extremes are settled by the norm before a float lattice is built.  Sparse:
+every nonzero section has ||E x||^2 >= m0, m0 = 2/|alpha| (AM-GM and
+|N(x)| >= N(I)), 1/|alpha|^2 on Q; from log m0 >= 20 every nonzero weight
+underflows, and h0 = 0.0 over one point.  Dense: the smallest eigenvalue of
+G = E^T E is at most covol^(2/n), covol = sqrt|d_K| / |alpha|, and if the
+certified box at that cap passes max_radius, so does the true one.  A
+lattice that is neither, but whose basis leaves double range, is refused.
+
 Truncation bound: with lam a lower bound on the smallest eigenvalue of
-G = E^T E, every coefficient box [-B, B]^n misses at most
+G, every coefficient box [-B, B]^n misses at most
 
     n = 1:  2 * S(B)
     n = 2:  4 * S(B) * (1 + 2*S(0)) + 4 * S(B)^2
@@ -21,15 +38,18 @@ true tail by a small constant factor (at most ~4 in the flat regime).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from .globalfields import (
+    INERT,
     INFINITY,
     QUADRATIC,
+    RAMIFIED,
     RATIONAL,
     GlobalFieldDesc,
     GlobalFieldError,
@@ -45,7 +65,7 @@ class RadiusExceeded(GlobalFieldError):
 
 
 # ---------------------------------------------------------------------------
-# fractional ideals of quadratic fields, Hermite normal form
+# the sections lattice of a quadratic field, c * [N, omega - r]
 # ---------------------------------------------------------------------------
 
 
@@ -68,115 +88,42 @@ class FractionalIdeal:
         return Fraction(self.a * self.c, self.den ** 2)
 
 
-def _hnf2(cols: List[Tuple[int, int]]) -> Tuple[int, int, int]:
-    """Hermite form (a, b, c) of the module generated by integer columns."""
-    cols = [(x, y) for x, y in cols if x or y]
-    if not cols:
-        raise ValueError("zero module")
-    # combine to a single column whose y-part is the gcd of all y's
-    b, c = 0, 0
-    for x, y in cols:
-        if y == 0:
-            continue
-        if c == 0:
-            b, c = x, y
-            continue
-        g, u, v = _xgcd(c, y)
-        b, c = u * b + v * x, g
-    if c == 0:
-        raise ValueError("module has rank 1")
-    a = 0
-    for x, y in cols:
-        a = math.gcd(a, x - (y // c) * b)
-    if a == 0:
-        raise ValueError("module has rank 1")
-    if c < 0:
-        b, c = -b, -c
-    b %= a
-    return a, b, c
-
-
-def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        qt = old_r // r
-        old_r, r = r, old_r - qt * r
-        old_s, s = s, old_s - qt * s
-        old_t, t = t, old_t - qt * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def ring_of_integers(field: GlobalFieldDesc) -> FractionalIdeal:
-    return FractionalIdeal(field, 1, 1, 0, 1)
-
-
-def prime_ideal(place: Place) -> FractionalIdeal:
-    """The prime ideal of a finite place of a quadratic number field."""
-    field = place.field
-    if field.kind != QUADRATIC:
-        raise GlobalFieldError("prime ideals live in quadratic fields here")
-    p = place.below
+def _lift_root(field: GlobalFieldDesc, r: int, p: int, j: int) -> int:
+    """The root r mod p of omega's minimal polynomial x^2 - t x + n, lifted
+    mod p^j by Newton's method; a split root is simple, so 2r - t is a unit."""
     t, n = field.omega_params()
-    if place.splitting == "inert":
-        return FractionalIdeal(field, 1, p, 0, p)
-    r = place.root
-    # module generated by p, p*omega, (omega - r), (omega - r)*omega
-    cols = [(p, 0), (0, p), (-r, 1), (-n, t - r)]
-    a, b, c = _hnf2(cols)
-    return FractionalIdeal(field, 1, a, b, c)
-
-
-def ideal_mul(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
-    field = I.field
-    t, n = field.omega_params()
-    cols = []
-    for x1, y1 in ((I.a, 0), (I.b, I.c)):
-        for x2, y2 in ((J.a, 0), (J.b, J.c)):
-            # (x1 + y1 w)(x2 + y2 w) with w^2 = t w - n
-            cross = y1 * y2
-            cols.append((x1 * x2 - n * cross, x1 * y2 + x2 * y1 + t * cross))
-    a, b, c = _hnf2(cols)
-    den = I.den * J.den
-    g = math.gcd(math.gcd(a, math.gcd(b, c)), den)
-    return FractionalIdeal(field, den // g, a // g, b // g, c // g)
-
-
-def ideal_conj(I: FractionalIdeal) -> FractionalIdeal:
-    t, _ = I.field.omega_params()
-    cols = [(I.a, 0), (I.b + t * I.c, -I.c)]
-    a, b, c = _hnf2(cols)
-    return FractionalIdeal(I.field, I.den, a, b, c)
-
-
-def ideal_inv(I: FractionalIdeal) -> FractionalIdeal:
-    """I^-1 = conj(I) / N(I)."""
-    J = ideal_conj(I)
-    nm = I.norm()
-    den = J.den * nm.numerator
-    a, b, c = J.a * nm.denominator, J.b * nm.denominator, J.c * nm.denominator
-    g = math.gcd(math.gcd(a, math.gcd(b, c)), den)
-    return FractionalIdeal(I.field, den // g, a // g, b // g, c // g)
-
-
-def ideal_pow(I: FractionalIdeal, k: int) -> FractionalIdeal:
-    if k < 0:
-        return ideal_pow(ideal_inv(I), -k)
-    out = ring_of_integers(I.field)
-    for _ in range(k):
-        out = ideal_mul(out, I)
-    return out
+    m, top = p, p ** j
+    while m < top:
+        m = min(m * m, top)
+        r = (r - (r * r - t * r + n) * pow(2 * r - t, -1, m)) % m
+    return r
 
 
 def ideal_for_idele(alpha: Idele) -> FractionalIdeal:
-    """The sections lattice prod P^{v_P(alpha)} of an idele."""
-    out = ring_of_integers(alpha.field)
-    for pl, v in alpha.finite_components:
-        out = ideal_mul(out, ideal_pow(prime_ideal(pl), v))
-    return out
+    """The sections lattice prod P^{v_P(alpha)} of an idele of a quadratic
+    field, built as c * [N, omega - r] one rational prime at a time."""
+    field = alpha.field
+    fin = alpha.finite
+    content, N, r = Fraction(1), 1, 0
+    for p in sorted({pl.below for pl in fin}):
+        pls = places_above(field, p)
+        ks = [fin.get(pl, 0) for pl in pls]
+        if pls[0].splitting == INERT:
+            content *= Fraction(p) ** ks[0]
+            continue
+        if pls[0].splitting == RAMIFIED:
+            content *= Fraction(p) ** (ks[0] // 2)
+            j, root = ks[0] % 2, pls[0].root
+        else:
+            content *= Fraction(p) ** min(ks)
+            j = abs(ks[0] - ks[1])
+            root = _lift_root(field, pls[ks[1] > ks[0]].root, p, j)  # larger v_P
+        if j:
+            q = p ** j
+            r += N * ((root - r) * pow(N, -1, q) % q)
+            N *= q
+    num = content.numerator
+    return FractionalIdeal(field, content.denominator, num * N, num * (-r % N), num)
 
 
 # ---------------------------------------------------------------------------
@@ -216,10 +163,14 @@ def _geom_tail(lam: float, B: int) -> float:
     return top / -math.expm1(-math.pi * lam * (2 * B + 3))
 
 
-def certified_box(lam: float, rank: int, tol: float, max_radius: float) -> int:
-    """Smallest B whose complement misses less than tol of the theta mass."""
+def certified_box(lam: float, rank: int, tol: float, max_radius: float,
+                  start: int = 1) -> int:
+    """Smallest B whose complement misses less than tol of the theta mass.
+
+    The search steps B = 1, 2, ..., B + B // 8; it resumes at ``start``, a
+    step whose predecessors are known to miss too much."""
     u_bound = 1.0 + 2.0 * _geom_tail(lam, 0)
-    B = 1
+    B = start
     while True:
         s = _geom_tail(lam, B)
         miss = 2.0 * s if rank == 1 else 4.0 * s * u_bound + 4.0 * s * s
@@ -247,8 +198,10 @@ def _gauss_reduce(E: np.ndarray) -> np.ndarray:
     return np.column_stack([c1, c2])
 
 
-def theta_log_sum(E: np.ndarray, tol: float, max_radius: float) -> Tuple[float, int]:
-    """(log of the lattice Gaussian sum, lattice points evaluated).
+def theta_log_sum(E: np.ndarray, tol: float, max_radius: float,
+                  start: int = 1) -> Tuple[float, int]:
+    """(log of the lattice Gaussian sum, lattice points evaluated); the box
+    search resumes at ``start`` (see ``certified_box``).
 
     Reduction and the smallest eigenvalue scale with E, so they run on E/s,
     s the power of two just above its largest entry (exact, no overflow);
@@ -267,7 +220,7 @@ def theta_log_sum(E: np.ndarray, tol: float, max_radius: float) -> Tuple[float, 
     if lam <= 0:
         raise GlobalFieldError("embedding matrix is singular in double precision")
     rank = E.shape[1]
-    B = certified_box(lam, rank, tol * 0.25, max_radius)
+    B = certified_box(lam, rank, tol * 0.25, max_radius, start)
     with np.errstate(over="ignore"):
         if rank == 1:
             xs = np.arange(-B, B + 1, dtype=float)
@@ -297,17 +250,42 @@ def rational_lattice_scale(alpha: Idele) -> Fraction:
     return r
 
 
+def _log_scales(alpha: Idele) -> Tuple[float, float]:
+    """(log |alpha|, log c N) from the valuations alone; c * N is the positive
+    generator of the rationals in I and the largest entry of its basis."""
+    fin = alpha.finite
+    log_norm = math.fsum(pl.e_v * math.log(a) for pl, a in alpha.archimedean_components)
+    log_cn = 0.0
+    for p in {pl.below for pl in fin}:
+        pls = places_above(alpha.field, p)
+        log_norm -= sum(fin.get(pl, 0) * pl.f for pl in pls) * math.log(p)
+        log_cn += max(-(-fin.get(pl, 0) // pl.e) for pl in pls) * math.log(p)
+    return log_norm, log_cn
+
+
 def theta_log_for_idele(alpha: Idele, tol: float, max_radius: float) -> Tuple[float, int]:
     """log sum over global sections of the Gaussian weights of an idele."""
     field = alpha.field
+    if field.kind not in (RATIONAL, QUADRATIC):
+        raise GlobalFieldError(f"no theta lattice for {field.describe()}")
+    n = field.degree
+    log_norm, log_cn = _log_scales(alpha)
+    log_m0 = math.log(2.0) - log_norm if n == 2 else -2.0 * log_norm
+    if log_m0 >= 20.0:  # exp(-pi e^20) is 0.0: every nonzero weight underflows
+        return 0.0, 1
+    # a cap that underflows stands for any smaller positive one; every box
+    # below the cap's also misses too much at the true eigenvalue
+    lam_cap = math.exp((0.5 * math.log(abs(field.disc)) - log_norm) * 2 / n)
+    start = certified_box(max(lam_cap, sys.float_info.min), n, tol * 0.25, max_radius)
+    if log_cn > math.log(sys.float_info.max) - 1.0:
+        raise GlobalFieldError("the sections lattice leaves double range (a skewed idele "
+                               "of moderate norm; exact reduction is not implemented)")
     if field.kind == RATIONAL:
         r = rational_lattice_scale(alpha)
         pl, = places_above(field, INFINITY)
         al = alpha.arch.get(pl, 1.0)
         E = np.array([[float(r) / al]])
-        return theta_log_sum(E, tol, max_radius)
-    if field.kind == QUADRATIC:
-        ideal = ideal_for_idele(alpha)
-        E = embedding_matrix(field, ideal, alpha.arch)
-        return theta_log_sum(E, tol, max_radius)
-    raise GlobalFieldError(f"no theta lattice for {field.describe()}")
+        return theta_log_sum(E, tol, max_radius, start)
+    ideal = ideal_for_idele(alpha)
+    E = embedding_matrix(field, ideal, alpha.arch)
+    return theta_log_sum(E, tol, max_radius, start)

@@ -81,17 +81,29 @@ def _split(n: int, k: int, out: Dict[int, int]) -> None:
 
 def _pollard_brent(n: int) -> int:
     """A proper factor of a composite n by Brent's cycle search on
-    y -> y^2 + c for c = 1, 2, ..."""
+    y -> y^2 + c for c = 1, 2, ...  One gcd per batch of 128 steps, taken on
+    the product of |x - y|; a batch whose gcd is n is walked again step by
+    step from its start (Brent, BIT 20 (1980))."""
     for c in itertools.count(1):
-        y, r, g = 2, 1, 1
+        y, r, q, g = 2, 1, 1, 1
         while g == 1:
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
-                g = math.gcd(x - y, n)
-                if g != 1:
-                    break
+            k = 0
+            while k < r and g == 1:
+                start = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
             r *= 2
+        if g == n:
+            g, y = 1, start
+            while g == 1:
+                y = (y * y + c) % n
+                g = math.gcd(x - y, n)
         if g != n:
             return g
 

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import mpmath
@@ -34,10 +35,9 @@ from adelic.globalfields import (
     random_idele_bounded,
 )
 from adelic.theta import (
+    certified_box,
     embedding_matrix,
     ideal_for_idele,
-    prime_ideal,
-    ring_of_integers,
     theta_log_sum,
 )
 from adelic.values import LogValue
@@ -284,13 +284,51 @@ def test_theta_ideal_covolume():
     import numpy as np
     # covol(I) = N(I) sqrt|disc| with the self-dual normalization
     for F in (Qi, Q5, Qm3):
-        O = ring_of_integers(F)
+        O = ideal_for_idele(Idele.trivial(F))
         E = embedding_matrix(F, O, {})
         assert abs(abs(np.linalg.det(E)) - math.sqrt(abs(F.disc))) < 1e-12
-        P = prime_ideal(places_above(F, 11)[0])
+        P = ideal_for_idele(Idele.make(F, {places_above(F, 11)[0]: 1}))
         EP = embedding_matrix(F, P, {})
         assert abs(abs(np.linalg.det(EP)) -
                    float(P.norm()) * math.sqrt(abs(F.disc))) < 1e-10
+
+
+def test_theta_ideal_norm_is_product_of_prime_norms():
+    # N(c * [N, omega - r]) against prod N(P)^{v_P}, exact, on split, inert
+    # and ramified primes of 14 fields
+    rng = random.Random(8)
+    fields = [GlobalFieldDesc.quadratic(d)
+              for d in (-1, -2, -3, -5, -7, -11, -15, 2, 3, 5, 6, 7, 13, 17)]
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+    for _ in range(2000):
+        F = rng.choice(fields)
+        fin = {pl: rng.randint(-40, 40)
+               for p in rng.sample(primes, rng.randint(0, 4))
+               for pl in places_above(F, p)}
+        expected = Fraction(1)
+        for pl, v in fin.items():
+            expected *= Fraction(pl.residue_card) ** v
+        assert ideal_for_idele(Idele.make(F, fin)).norm() == expected, (F, fin)
+
+
+def test_theta_ideal_of_a_deep_split_power_is_fast():
+    # P5^20000 on Q(i): one Newton lift of the root of P5 mod 5^20000
+    P5 = places_above(Qi, 5)[0]
+    t = time.perf_counter()
+    ideal = ideal_for_idele(Idele.make(Qi, {P5: 20000}))
+    assert time.perf_counter() - t < 1.0
+    assert ideal.norm() == 5 ** 20000 and ideal.den == ideal.c == 1
+
+
+def test_certified_box_resumes_at_the_box_of_a_larger_eigenvalue():
+    # h0 resumes the box search at the box of the covolume cap on the
+    # smallest eigenvalue; below it every box misses too much at lam <= cap
+    for cap in (1e-6, 1e-3, 0.1, 1.0, 10.0):
+        for lam in (cap, cap * 0.999, cap * 1e-3):
+            for rank in (1, 2):
+                start = certified_box(cap, rank, 1e-11, 1e9)
+                assert certified_box(lam, rank, 1e-11, 1e9, start) == \
+                    certified_box(lam, rank, 1e-11, 1e9)
 
 
 def test_theta_sections_lattice_orientation():

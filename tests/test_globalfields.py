@@ -26,7 +26,7 @@ from adelic.globalfields import (
     random_idele_bounded,
     relative_discriminant_norm,
 )
-from adelic.theta import ideal_mul, ideal_pow, prime_ideal
+from adelic.theta import ideal_for_idele
 from adelic.values import LogValue, PosRealExact
 
 Q = GlobalFieldDesc.rationals()
@@ -288,8 +288,9 @@ def _in_ideal(ideal, a, b):
 
 def test_split_valuations_match_ideal_membership():
     # v_P(x) is the largest k with x in P^k P'^-e, where p^e and an integer
-    # s prime to p clear the denominators of s*x; decided by the HNF ideal
-    # arithmetic of theta, independently of the residue rule
+    # s prime to p clear the denominators of s*x; decided by HNF membership in
+    # theta's closed-form sections lattice c * [N, omega - r] of the idele
+    # with v_P = k and v_P' = -e, independently of the residue rule
     rng = random.Random(31)
     seen = 0
     for d in (-1, 5, -7, 17):
@@ -315,9 +316,8 @@ def test_split_valuations_match_ideal_membership():
                     e += 1
                 for pl, other in (pls, pls[::-1]):
                     v = al.finite.get(pl, 0)
-                    P, away = prime_ideal(pl), ideal_pow(prime_ideal(other), -e)
                     for k, inside in ((v, True), (v + 1, False)):
-                        J = ideal_mul(ideal_pow(P, k), away)
+                        J = ideal_for_idele(Idele.make(F, {pl: k, other: -e}))
                         assert _in_ideal(J, a * den, b * den) == inside, (d, a, b, pl, k)
                 seen += al.finite.get(pls[0], 0) != al.finite.get(pls[1], 0)
     assert seen >= 50  # many elements separate P from P'
