@@ -190,10 +190,14 @@ def parse_idele(field: GlobalFieldDesc, text: str) -> Idele:
 
 
 def _parse_int(val: str, ctx: str) -> int:
+    """An integer within -10^18..10^18: a valuation or a place index."""
     try:
-        return int(val)
+        n = int(val)
     except ValueError:
         raise CLIError(f"expected an integer in {ctx!r}, got {val!r}")
+    if abs(n) > 10 ** 18:
+        raise CLIError(f"{ctx.rsplit(':', 1)[0]!r}: integer outside -10^18..10^18")
+    return n
 
 
 def _positive_float(text: str, what: str) -> float:

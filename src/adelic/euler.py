@@ -147,8 +147,8 @@ def h0_with_count(field: GlobalFieldDesc, alpha: Idele,
         return LogValue.of_real(lt), n
     if field.kind == RATFUNC:
         deg = divisor_of_idele(alpha).finite_degree()
-        ell = max(0, deg + 1)
-        return (LogValue.log_of_int(field.q, scale=ell) if ell else LogValue.zero()), 0
+        pl, = places_above(field, INFINITY)  # #k_v = q
+        return pl.log_card * max(0, deg + 1), 0
     raise UnsupportedField(f"h0 unsupported on {field.describe()}")
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Dict, Iterator, List, Tuple
 
-from .values import InvariantError, factorize
+from .values import factorize
 
 Poly = Tuple[int, ...]
 
@@ -223,13 +223,8 @@ def monic_polys(F: GF, deg: int) -> Iterator[Poly]:
 def monic_irreducibles(q: int, max_deg: int) -> Tuple[Poly, ...]:
     """Monic irreducibles of degree <= max_deg, ordered by (degree, coeffs)."""
     F = gf(q)
-    found: List[Poly] = []
-    for d in range(1, max_deg + 1):
-        for f in monic_polys(F, d):
-            # trial division by lower-degree irreducibles suffices
-            if all(pmod(F, f, g) for g in found if pdeg(g) <= d // 2):
-                found.append(f)
-    return tuple(found)
+    return tuple(f for d in range(1, max_deg + 1) for f in monic_polys(F, d)
+                 if is_irreducible(F, f))
 
 
 def pgcd(F: GF, f: Poly, g: Poly) -> Poly:
@@ -252,24 +247,28 @@ def is_irreducible(F: GF, f: Poly) -> bool:
 
 
 def pfactor(F: GF, f: Poly) -> Tuple[int, Dict[Poly, int]]:
-    """Factor f as (unit, {monic irreducible: multiplicity})."""
+    """Factor f as (unit, {monic irreducible: multiplicity}).
+
+    Monic divisors are divided out by increasing degree d while 2d <= deg g:
+    a monic divisor of the least degree left is irreducible, and a cofactor
+    with no factor of degree <= deg/2 is 1 or irreducible."""
     if not f:
         raise ZeroDivisionError("cannot factor the zero polynomial")
     unit = f[-1]
     g = pmonic(F, f)
     out: Dict[Poly, int] = {}
-    d = pdeg(g)
-    for irr in monic_irreducibles(F.q, max(d, 1)):
-        while pdeg(g) >= pdeg(irr):
-            q, r = pdivmod(F, g, irr)
-            if r:
-                break
-            out[irr] = out.get(irr, 0) + 1
-            g = q
-        if pdeg(g) == 0:
-            break
-    if g != (1,):
-        raise InvariantError(f"incomplete factorization, residual {g}")
+    d = 1
+    while 2 * d <= pdeg(g):
+        for h in monic_polys(F, d):
+            while True:
+                q, r = pdivmod(F, g, h)
+                if r:
+                    break
+                out[h] = out.get(h, 0) + 1
+                g = q
+        d += 1
+    if pdeg(g) > 0:
+        out[g] = out.get(g, 0) + 1
     return unit, out
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, List, Tuple
 
 from . import ffpoly
@@ -31,6 +31,7 @@ from .localfields import (
     _sval,
     base_field,
     quadratic_extension,
+    smallest_nonresidue,
 )
 from .values import InvariantError, LogValue, PosRealExact, factorize, is_prime
 
@@ -180,7 +181,11 @@ class GlobalFieldDesc:
 
 @dataclass(frozen=True)
 class Place:
-    """A place of a global field, with its local invariants over the base."""
+    """A place of a global field.  Stored: its defining data (the place
+    below, splitting, index, e, f, and omega's root mod p on a quadratic
+    field).  Derived once from them: #k_v, its degree over the constant
+    field (0 on number fields) and log #k_v; None, 0 and None at an
+    archimedean place."""
 
     field: GlobalFieldDesc
     kind: str
@@ -189,9 +194,31 @@ class Place:
     index: int = 0
     e: int = 1
     f: int = 1
-    residue_card: int | None = None
-    deg: int = 0                  # degree over the constant field
     root: int | None = None       # omega root mod p (number-field places)
+
+    @cached_property
+    def deg(self) -> int:
+        """Degree of k_v over the constant field F_q; 0 on number fields."""
+        if not self.field.is_function_field:
+            return 0
+        return self.f * (1 if self.below == INFINITY else ffpoly.pdeg(self.below))
+
+    @cached_property
+    def residue_card(self) -> int | None:
+        if self.is_archimedean():
+            return None
+        return self.field.q ** self.deg if self.deg else self.below ** self.f
+
+    @cached_property
+    def log_card(self) -> LogValue | None:
+        """log #k_v, exact: f log p over a rational prime, k deg log p on a
+        function field over F_(p^k)."""
+        if self.is_archimedean():
+            return None
+        if self.deg:
+            F = gf(self.field.q)
+            return LogValue({F.p: F.k * self.deg})
+        return LogValue({self.below: self.f})
 
     @property
     def e_v(self) -> int:
@@ -236,8 +263,7 @@ def _sqrt_mod_p(a: int, p: int) -> int:
     q, s = p - 1, 0  # p - 1 = q 2^s, q odd
     while q % 2 == 0:
         q, s = q // 2, s + 1
-    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
-    c, t, r = pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+    c, t, r = pow(smallest_nonresidue(p), q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:  # t has order 2^i, i < s
         i, t2 = 0, t
         while t2 != 1:
@@ -265,7 +291,7 @@ def _places_above(field: GlobalFieldDesc, below) -> Tuple[Place, ...]:
             return (Place(field, REAL),)
         if not is_prime(below):
             raise UnsupportedField(f"{below} is not a prime")
-        return (Place(field, FINITE, below=below, residue_card=below),)
+        return (Place(field, FINITE, below=below),)
 
     if field.kind == QUADRATIC:
         if below == INFINITY:
@@ -285,47 +311,36 @@ def _places_above(field: GlobalFieldDesc, below) -> Tuple[Place, ...]:
                 s = _sqrt_mod_p(D, p)
                 inv2 = pow(2, -1, p)
                 roots = sorted({(t + s) * inv2 % p, (t - s) * inv2 % p})
-            return tuple(Place(field, FINITE, below=p, splitting=SPLIT, index=i,
-                               residue_card=p, root=r) for i, r in enumerate(roots))
+            return tuple(Place(field, FINITE, below=p, splitting=SPLIT, index=i, root=r)
+                         for i, r in enumerate(roots))
         if sym == -1:
-            return (Place(field, FINITE, below=p, splitting=INERT, f=2,
-                          residue_card=p * p),)
+            return (Place(field, FINITE, below=p, splitting=INERT, f=2),)
         root = (t * pow(2, -1, p)) % p if p != 2 else (1 if field.d % 4 == 3 else 0)
-        return (Place(field, FINITE, below=p, splitting=RAMIFIED, e=2,
-                      residue_card=p, root=root),)
+        return (Place(field, FINITE, below=p, splitting=RAMIFIED, e=2, root=root),)
 
-    F = gf(field.q)
-    if field.kind == RATFUNC:
-        if below == INFINITY:
-            return (Place(field, FF_INFINITE, below=INFINITY,
-                          residue_card=field.q, deg=1),)
-        pi = ffpoly.ptrim(below)
-        if not ffpoly.is_irreducible(F, pi) or pi[-1] != 1:
-            raise UnsupportedField(f"{below} is not monic irreducible over F_{field.q}")
-        dg = ffpoly.pdeg(pi)
-        return (Place(field, FF_FINITE, below=pi, residue_card=field.q ** dg, deg=dg),)
-
-    # hyperelliptic y^2 = f(t)
+    hyper = field.kind == HYPERELLIPTIC
     if below == INFINITY:
+        if not hyper:
+            return (Place(field, FF_INFINITE, below=INFINITY),)
         if ffpoly.pdeg(field.fpoly) % 2 == 1:
-            return (Place(field, FF_INFINITE, below=INFINITY, splitting=RAMIFIED,
-                          e=2, residue_card=field.q, deg=1),)
+            return (Place(field, FF_INFINITE, below=INFINITY, splitting=RAMIFIED, e=2),)
         # f monic of even degree: the leading coefficient 1 is a square
-        return tuple(Place(field, FF_INFINITE, below=INFINITY, splitting=SPLIT, index=i,
-                           residue_card=field.q, deg=1) for i in (0, 1))
+        return tuple(Place(field, FF_INFINITE, below=INFINITY, splitting=SPLIT, index=i)
+                     for i in (0, 1))
+    F = gf(field.q)
     pi = ffpoly.ptrim(below)
     if not ffpoly.is_irreducible(F, pi) or pi[-1] != 1:
         raise UnsupportedField(f"{below} is not monic irreducible over F_{field.q}")
-    dg = ffpoly.pdeg(pi)
+    if not hyper:
+        return (Place(field, FF_FINITE, below=pi),)
+    # y^2 = f(t)
     sym = ffpoly.euler_symbol(F, field.fpoly, pi)
     if sym == 0:
-        return (Place(field, FF_FINITE, below=pi, splitting=RAMIFIED, e=2,
-                      residue_card=field.q ** dg, deg=dg),)
+        return (Place(field, FF_FINITE, below=pi, splitting=RAMIFIED, e=2),)
     if sym == 1:
-        return tuple(Place(field, FF_FINITE, below=pi, splitting=SPLIT, index=i,
-                           residue_card=field.q ** dg, deg=dg) for i in (0, 1))
-    return (Place(field, FF_FINITE, below=pi, splitting=INERT, f=2,
-                  residue_card=field.q ** (2 * dg), deg=2 * dg),)
+        return tuple(Place(field, FF_FINITE, below=pi, splitting=SPLIT, index=i)
+                     for i in (0, 1))
+    return (Place(field, FF_FINITE, below=pi, splitting=INERT, f=2),)
 
 
 def archimedean_places(field: GlobalFieldDesc) -> List[Place]:
@@ -516,7 +531,7 @@ class Divisor:
             if pl.is_archimedean():
                 total = total + LogValue.of_real(float(c))
             else:
-                total = total + LogValue.log_of_int(pl.residue_card, scale=c)
+                total = total + pl.log_card * c
         return total
 
     def finite_degree(self) -> int:
@@ -551,7 +566,7 @@ def idele_log_norm(alpha: Idele) -> LogValue:
     """log |alpha| = sum_v log|alpha_v|_v, exact at the finite places."""
     total = LogValue.zero()
     for pl, n in alpha.finite_components:
-        total = total + LogValue.log_of_int(pl.residue_card, scale=-n)
+        total = total + pl.log_card * -n
     for pl, a in alpha.archimedean_components:
         total = total + LogValue.of_real(pl.e_v * math.log(a))
     return total

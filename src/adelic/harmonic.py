@@ -391,19 +391,16 @@ def _digit_angle(field: LocalFieldDesc, digit, s: int) -> Fraction:
 def character_coset_integral(field: LocalFieldDesc, m: int) -> CycScalar:
     """The integral of the standard character over pi^m O_v.
 
-    The character is trivial precisely on the inverse different
-    pi^(-d) O_v (d the different exponent), so for m >= -d the integral is
-    the measure (#k)^(-m) mu(O_v); below that the full character sum is
-    assembled and cancels to exact zero.  For d = 0 this is the classical
-    closed form with threshold m >= 0.
+    The character is additive and trivial precisely on the inverse different
+    pi^(-d) O_v (d the different exponent), so with top = max(m, -d) + 1 the
+    integral is mu(pi^top O_v) times the product over positions s in
+    [m, top) of the one-digit character sums.  For m >= -d that is #k
+    mu(pi^(m+1) O_v) = (#k)^(-m) mu(O_v); below it the sum at s = -d - 1
+    cancels to exact zero.
     """
-    d = field.different_exponent
-    if m >= -d:
-        return CycScalar.from_posreal(field.p, coset_measure(field, m))
-    # character sum over pi^m O / pi^(-d) O: the character is additive, so
-    # the sum is the product over positions of the one-digit sums
-    total = CycScalar.from_posreal(field.p, coset_measure(field, -d))
-    for s in range(m, -d):
+    top = max(m, -field.different_exponent) + 1
+    total = CycScalar.from_posreal(field.p, coset_measure(field, top))
+    for s in range(m, top):
         total = total * CycScalar(field.p, Counter(
             _digit_angle(field, dg, s) for dg in field.residue_reps()))
     return total

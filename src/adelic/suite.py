@@ -296,42 +296,38 @@ def _ff_place_pools(q: int):
 def brute_force_sections(field: GlobalFieldDesc, div_coeffs: Dict) -> int:
     """Count L(D) = {x : div(x) + D >= 0} by enumerating candidates.
 
-    Writes x = (m h) / d with d collecting demanded poles and m demanded
-    zeros; h then ranges over polynomials of bounded degree, and every
-    candidate is checked place by place (divisibility and degree).
+    Writes x = h / d with d collecting the demanded poles, so the bound at
+    infinity is deg h <= n_inf + deg d.  h ranges over every polynomial of
+    degree up to one above that bound, and each candidate is tested place by
+    place: the degree at infinity, and v_pi(h) >= max(0, -n_pi) at every
+    finite place (the places are distinct monic irreducibles, so
+    v_pi(d) = max(0, n_pi)).
     """
     q = field.q
     F = gf(q)
     n_inf = div_coeffs.get(INFINITY, 0)
     finite = {pi: n for pi, n in div_coeffs.items() if pi != INFINITY}
     d: ffpoly.Poly = (1,)
-    m: ffpoly.Poly = (1,)
     for pi, npi in finite.items():
         for _ in range(max(0, npi)):
             d = ffpoly.pmul(F, d, pi)
-        for _ in range(max(0, -npi)):
-            m = ffpoly.pmul(F, m, pi)
-    bound = n_inf + ffpoly.pdeg(d) - ffpoly.pdeg(m)
+    bound = n_inf + ffpoly.pdeg(d)
     count = 1  # the zero function
-    if bound < 0:
-        return count
-    for idx in range(1, q ** (bound + 1)):
-        num = ffpoly.pmul(F, m, ffpoly.int_to_poly(F, idx))
-        # membership: v_pi(num/d) + n_pi >= 0 at the support, v >= 0 elsewhere;
-        # the places are distinct monic irreducibles, so v_pi(d) = max(0, n_pi)
-        ok = ffpoly.pdeg(d) - ffpoly.pdeg(num) + n_inf >= 0
+    for idx in range(1, q ** (max(bound, -1) + 2)):
+        h = ffpoly.int_to_poly(F, idx)
+        ok = ffpoly.pdeg(h) <= bound
         for pi, npi in finite.items():
             if not ok:
                 break
             mult = 0
-            r = num
+            r = h
             while True:
                 qq, rr = ffpoly.pdivmod(F, r, pi)
                 if rr:
                     break
                 mult += 1
                 r = qq
-            ok = mult - max(0, npi) + npi >= 0
+            ok = mult >= max(0, -npi)
         if ok:
             count += 1
     return count

@@ -9,12 +9,17 @@ lattice with a certified truncation.
 
 Sections lattice in closed form (Cohen, A Course in Computational
 Algebraic Number Theory, 5.2): I = c * [N, omega - r] = c (Z N + Z (omega - r))
-with c rational and N | r^2 - t r + n.  Over a rational prime p, c gets p^k
-at an inert place, p^(k // 2) at a ramified one (leaving P = [p, omega - root]
-when k is odd) and p^min(k, k') over a split pair, leaving P^j with
-j = |k - k'| and P the place of larger valuation: P^j = [p^j, omega - r_j],
-r_j the root of P lifted mod p^j by Newton's method.  The parts left have
-coprime norms, so CRT joins their roots into one r.
+with c rational and N | r^2 - t r + n.  One plan, a list of (p, k, j, P) per
+rational prime p under alpha, gives c = prod p^k and N = prod p^j.  Over p,
+k is v_p(alpha) on Q and at an inert place, k // 2 at a ramified one
+(leaving P = [p, omega - root] when k is odd) and min(k, k') over a split
+pair, leaving P^j with j = |k - k'| and P the place of larger valuation:
+P^j = [p^j, omega - r_j], r_j the root of P lifted mod p^j by Newton's
+method.  j = 0 on Q and at inert primes.  The parts left have coprime norms,
+so CRT joins their roots into one r.  The plan alone gives the scales that
+decide extremes, log |alpha| = sum e_v log alpha_v - n log c - log N and
+log c N (c N generates the rationals in I and is the largest basis entry),
+so they are known before c and N are multiplied out.
 
 Extremes are settled by the norm before a float lattice is built.  Sparse:
 every nonzero section has ||E x||^2 >= m0, m0 = 2/|alpha| (AM-GM and
@@ -41,15 +46,13 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
 from .globalfields import (
-    INERT,
     INFINITY,
     QUADRATIC,
-    RAMIFIED,
     RATIONAL,
     GlobalFieldDesc,
     GlobalFieldError,
@@ -90,7 +93,8 @@ class FractionalIdeal:
 
 def _lift_root(field: GlobalFieldDesc, r: int, p: int, j: int) -> int:
     """The root r mod p of omega's minimal polynomial x^2 - t x + n, lifted
-    mod p^j by Newton's method; a split root is simple, so 2r - t is a unit."""
+    mod p^j by Newton's method; a split root is simple, so 2r - t is a unit
+    (j = 1 returns r, as a ramified place needs)."""
     t, n = field.omega_params()
     m, top = p, p ** j
     while m < top:
@@ -99,31 +103,37 @@ def _lift_root(field: GlobalFieldDesc, r: int, p: int, j: int) -> int:
     return r
 
 
+def _plan(alpha: Idele) -> List[Tuple[int, int, int, Place | None]]:
+    """(p, k, j, P) per rational prime p under the finite part of alpha:
+    the sections lattice is prod p^k * [prod p^j, omega - r], r the root of
+    P mod p^j joined by CRT; j = 0 and P None on Q and at inert primes."""
+    fin = alpha.finite
+    plan = []
+    for p in sorted({pl.below for pl in fin}):
+        pls = places_above(alpha.field, p)
+        ks = [fin.get(pl, 0) for pl in pls]
+        if pls[0].is_ramified():
+            plan.append((p, ks[0] // 2, ks[0] % 2, pls[0]))
+        elif len(pls) == 1:  # a prime of Q, or an inert one
+            plan.append((p, ks[0], 0, None))
+        else:
+            plan.append((p, min(ks), abs(ks[0] - ks[1]), pls[ks[1] > ks[0]]))  # larger v_P
+    return plan
+
+
 def ideal_for_idele(alpha: Idele) -> FractionalIdeal:
     """The sections lattice prod P^{v_P(alpha)} of an idele of a quadratic
-    field, built as c * [N, omega - r] one rational prime at a time."""
-    field = alpha.field
-    fin = alpha.finite
+    field, built as c * [N, omega - r] from its plan."""
     content, N, r = Fraction(1), 1, 0
-    for p in sorted({pl.below for pl in fin}):
-        pls = places_above(field, p)
-        ks = [fin.get(pl, 0) for pl in pls]
-        if pls[0].splitting == INERT:
-            content *= Fraction(p) ** ks[0]
-            continue
-        if pls[0].splitting == RAMIFIED:
-            content *= Fraction(p) ** (ks[0] // 2)
-            j, root = ks[0] % 2, pls[0].root
-        else:
-            content *= Fraction(p) ** min(ks)
-            j = abs(ks[0] - ks[1])
-            root = _lift_root(field, pls[ks[1] > ks[0]].root, p, j)  # larger v_P
+    for p, k, j, P in _plan(alpha):
+        content *= Fraction(p) ** k
         if j:
             q = p ** j
+            root = _lift_root(alpha.field, P.root, p, j)
             r += N * ((root - r) * pow(N, -1, q) % q)
             N *= q
     num = content.numerator
-    return FractionalIdeal(field, content.denominator, num * N, num * (-r % N), num)
+    return FractionalIdeal(alpha.field, content.denominator, num * N, num * (-r % N), num)
 
 
 # ---------------------------------------------------------------------------
@@ -240,36 +250,18 @@ def theta_log_sum(E: np.ndarray, tol: float, max_radius: float,
     return math.log(total), points
 
 
-def rational_lattice_scale(alpha: Idele) -> Fraction:
-    """Generator of the sections lattice of a Q-idele: prod p^{v_p(alpha)}."""
-    if alpha.field.kind != RATIONAL:
-        raise GlobalFieldError("rational ideles only")
-    r = Fraction(1)
-    for pl, v in alpha.finite_components:
-        r *= Fraction(pl.below) ** v
-    return r
-
-
-def _log_scales(alpha: Idele) -> Tuple[float, float]:
-    """(log |alpha|, log c N) from the valuations alone; c * N is the positive
-    generator of the rationals in I and the largest entry of its basis."""
-    fin = alpha.finite
-    log_norm = math.fsum(pl.e_v * math.log(a) for pl, a in alpha.archimedean_components)
-    log_cn = 0.0
-    for p in {pl.below for pl in fin}:
-        pls = places_above(alpha.field, p)
-        log_norm -= sum(fin.get(pl, 0) * pl.f for pl in pls) * math.log(p)
-        log_cn += max(-(-fin.get(pl, 0) // pl.e) for pl in pls) * math.log(p)
-    return log_norm, log_cn
-
-
 def theta_log_for_idele(alpha: Idele, tol: float, max_radius: float) -> Tuple[float, int]:
     """log sum over global sections of the Gaussian weights of an idele."""
     field = alpha.field
     if field.kind not in (RATIONAL, QUADRATIC):
         raise GlobalFieldError(f"no theta lattice for {field.describe()}")
     n = field.degree
-    log_norm, log_cn = _log_scales(alpha)
+    plan = _plan(alpha)
+    log_norm = math.fsum(pl.e_v * math.log(a) for pl, a in alpha.archimedean_components)
+    log_cn = 0.0
+    for p, k, j, _ in plan:
+        log_norm -= (n * k + j) * math.log(p)
+        log_cn += (k + j) * math.log(p)
     log_m0 = math.log(2.0) - log_norm if n == 2 else -2.0 * log_norm
     if log_m0 >= 20.0:  # exp(-pi e^20) is 0.0: every nonzero weight underflows
         return 0.0, 1
@@ -281,11 +273,9 @@ def theta_log_for_idele(alpha: Idele, tol: float, max_radius: float) -> Tuple[fl
         raise GlobalFieldError("the sections lattice leaves double range (a skewed idele "
                                "of moderate norm; exact reduction is not implemented)")
     if field.kind == RATIONAL:
-        r = rational_lattice_scale(alpha)
+        c = math.prod(Fraction(p) ** k for p, k, _, _ in plan)
         pl, = places_above(field, INFINITY)
-        al = alpha.arch.get(pl, 1.0)
-        E = np.array([[float(r) / al]])
-        return theta_log_sum(E, tol, max_radius, start)
-    ideal = ideal_for_idele(alpha)
-    E = embedding_matrix(field, ideal, alpha.arch)
+        E = np.array([[float(c) / alpha.arch.get(pl, 1.0)]])
+    else:
+        E = embedding_matrix(field, ideal_for_idele(alpha), alpha.arch)
     return theta_log_sum(E, tol, max_radius, start)

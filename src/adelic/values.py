@@ -264,11 +264,6 @@ class LogValue:
     def of_real(cls, x: float) -> "LogValue":
         return cls({}, x)
 
-    @classmethod
-    def log_of_int(cls, n: int, scale=1) -> "LogValue":
-        """Exact ``scale * log n`` for a positive integer n."""
-        return cls({p: Fraction(scale) * k for p, k in factorize(n).items()})
-
     @property
     def coeffs(self) -> Dict[int, Fraction]:
         return dict(self._c)

@@ -238,6 +238,10 @@ def test_suite_fast(capsys):
     ("h0", "--idele", "inf#-1:2"),
     ("chi", "--field", "Q(sqrt5)", "--idele", "p5#-1:1"),
     ("chi", "--field", "hyperelliptic q=0 f=1"),
+    ("chi", "--field", "Q", "--idele", "p5#0:" + "9" * 400),
+    ("h0", "--field", "Q", "--idele", "p5#0:" + "9" * 400),
+    ("h1", "--field", "Q", "--idele", "p5#0:" + "9" * 400),
+    ("chi", "--field", "Fq(t) q=3", "--idele", "p3#0:" + "9" * 400),
 ])
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -258,6 +262,7 @@ def test_bad_numeric_input_exits_2_with_one_line(capsys, argv):
     ("Q", "p5#0:100000", 0.0),
     ("Q(i)", "p5#0:300", 0.0),
     ("Q(i)", "p5#0:20000", 0.0),
+    ("Q(i)", "p5#0:100000000", 0.0),
     ("Q", "p5#0:-400", None),
     ("Q(i)", "p5#0:-300", None),
     ("Q(sqrt5)", "p11#0:2000,p11#1:-2000", None),

@@ -218,6 +218,36 @@ def test_verify_rr_relative_examples():
     assert all(r.passed for r in reps)
 
 
+def test_rr_checks_factor_no_integer_after_warm_up(monkeypatch):
+    # log #k_v is derived once per place, so once a field's places and
+    # discriminant are known the Riemann-Roch checks factor nothing
+    import sys
+
+    from adelic import values
+    from adelic.suite import relative_pairs, rr_field_roster
+
+    calls = []
+    real = values.factorize
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "adelic" and getattr(mod, "factorize", None) is real:
+            monkeypatch.setattr(mod, "factorize", counting)
+    rng = random.Random(9)
+    runs = [(F, lambda F, al: [verify_rr(F, al)]) for F in rr_field_roster()]
+    runs += [(L, lambda L, al, K=K: verify_rr_relative(L, K, al))
+             for L, K in relative_pairs()]
+    for F, check in runs:
+        check(F, random_idele(F, rng))  # warm-up
+        ideles = [random_idele(F, rng) for _ in range(1000)]
+        before = len(calls)
+        assert all(rep.passed for al in ideles for rep in check(F, al))
+        assert calls[before:] == [], F
+
+
 def test_verify_serre_trivial_and_scaled():
     rep = verify_serre(Q, Idele.trivial(Q))
     assert rep.passed and abs(float(rep.lhs) - float(rep.rhs)) < 1e-12
@@ -363,12 +393,10 @@ def arch_weight(field, alpha, element):
 
 def test_h0_matches_direct_weighted_sum():
     # independent oracle: sum the eigenfunction weights element by element
-    from adelic.theta import rational_lattice_scale
-
     P5, = places_above(Q, 5)
     al = Idele.make(Q, {P5: -1}, {places_above(Q, INFINITY)[0]: 1.7})
     assert arch_weight(Q, al, 0) == 1.0
-    r = rational_lattice_scale(al)
+    r = math.prod(Fraction(pl.below) ** v for pl, v in al.finite_components)  # 1/5
     direct = math.fsum(arch_weight(Q, al, r * k) for k in range(-400, 401))
     assert abs(math.exp(float(h0(Q, al))) - direct) < 1e-10
 

@@ -44,12 +44,18 @@ def test_irreducible_counts():
 
 
 def test_is_irreducible_matches_enumeration():
+    # oracle: f of degree d >= 1 is irreducible iff no monic polynomial of
+    # degree 1..d/2 divides it
     for q, max_deg in ((2, 5), (3, 5), (4, 5), (5, 5), (9, 3)):
         F = gf(q)
         irr = set(ffpoly.monic_irreducibles(q, max_deg))
         for d in range(max_deg + 1):
             for f in ffpoly.monic_polys(F, d):
-                assert ffpoly.is_irreducible(F, f) == (f in irr), (q, f)
+                want = d >= 1 and all(ffpoly.pmod(F, f, g)
+                                      for k in range(1, d // 2 + 1)
+                                      for g in ffpoly.monic_polys(F, k))
+                assert ffpoly.is_irreducible(F, f) == want, (q, f)
+                assert (f in irr) == want, (q, f)
     # degree 49 over F_2, past any enumeration: 10^15 is reducible,
     # x^49 + x^9 + 1 is irreducible
     F = gf(2)

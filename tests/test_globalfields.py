@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from adelic.ffpoly import monic_irreducibles
 from adelic.globalfields import (
     INFINITY,
     Divisor,
@@ -27,7 +28,7 @@ from adelic.globalfields import (
     relative_discriminant_norm,
 )
 from adelic.theta import ideal_for_idele
-from adelic.values import LogValue, PosRealExact
+from adelic.values import LogValue, PosRealExact, factorize
 
 Q = GlobalFieldDesc.rationals()
 Qi = GlobalFieldDesc.quadratic(-1)
@@ -76,6 +77,39 @@ def test_places_above_examples():
     assert ram2.splitting == "ramified" and ram2.residue_card == 2
     ramt, = places_above(H, (0, 1))   # t divides t^3 - t
     assert ramt.splitting == "ramified"
+
+
+def test_place_residue_data_matches_factorization():
+    # oracle: e f g = [L:K], so #k_v = N^(n / (e g)) with N = p, resp.
+    # q^deg(pi) (q at infinity); deg and log #k_v come from factorizing it
+    primes = [p for p in range(2, 200) if all(p % k for k in range(2, p))]
+    number_fields = [Q, Qi, Q5, GlobalFieldDesc.quadratic(-3)] + [
+        GlobalFieldDesc.quadratic(d)
+        for d in (-2, -5, -7, -11, -15, 2, 3, 6, 7, 13, 17)]
+    function_fields = [GlobalFieldDesc.rational_function_field(2), F3, H]
+    cases = [(F, below) for F in number_fields for below in primes + [INFINITY]]
+    cases += [(F, below) for F in function_fields
+              for below in list(monic_irreducibles(F.q, 3)) + [INFINITY]]
+    for F, below in cases:
+        pls = places_above(F, below)
+        for pl in pls:
+            if pl.is_archimedean():
+                assert (pl.residue_card, pl.deg, pl.log_card) == (None, 0, None)
+                continue
+            n = F.degree // (pl.e * len(pls))
+            if F.is_function_field:
+                card = F.q ** (n * (1 if below == INFINITY else len(below) - 1))
+            else:
+                card = below ** n
+            fact = factorize(card)
+            assert pl.residue_card == card, pl
+            assert pl.log_card == LogValue(fact), pl
+            assert pl.log_card.to_json()["provenance"] == "exact-symbolic"
+            if F.is_function_field:
+                (p, k), = factorize(F.q).items()
+                assert pl.deg == fact[p] // k, pl
+            else:
+                assert pl.deg == 0, pl
 
 
 def test_split_roots_at_large_primes():

@@ -130,7 +130,7 @@ def test_logvalue_equality_tolerance():
 
 
 def test_logvalue_scaling_and_float():
-    v = LogValue.log_of_int(12)  # 2 log2 + log3
+    v = LogValue({2: 2, 3: 1})  # log 12 = 2 log2 + log3
     assert v.coeffs == {2: Fraction(2), 3: Fraction(1)}
     import math
     assert float(v) == pytest.approx(math.log(12))
