@@ -170,8 +170,8 @@ def parse_idele(field: GlobalFieldDesc, text: str) -> Idele:
             idx = _parse_int(idx_s, part) if idx_s else 0
             try:
                 below = int(enc)
-                if field.is_function_field:
-                    below = ffpoly.int_to_poly(gf(field.q), below)
+                if field.is_function_field:  # bounded: Ben-Or's cost grows with the degree
+                    below = ffpoly.int_to_poly(gf(field.q), _parse_int(enc, part))
             except ValueError:
                 raise CLIError(f"bad place selector {sel!r}")
             try:

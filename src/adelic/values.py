@@ -2,16 +2,17 @@
 
 Measures, absolute values and discriminants in this package are products of
 prime powers with rational exponents, so they are stored symbolically as
-``prime -> exponent`` maps (:class:`PosRealExact`).  Logarithms of such
-quantities, plus genuinely transcendental contributions (theta sums,
-archimedean ``log alpha_v``), live in :class:`LogValue`: an exact formal sum
-``sum c_p * log p`` together with a floating remainder.
+``prime -> exponent`` maps (:class:`PosRealExact`).  A :class:`LogValue` is
+the log of a ``PosRealExact`` plus a float remainder, which carries the
+genuinely transcendental contributions (theta sums, archimedean
+``log alpha_v``).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from fractions import Fraction
 from typing import Dict
 
@@ -30,18 +31,6 @@ class PrimalityUnproven(ValueError):
     """An integer past _MR_LIMIT that no Miller-Rabin base proves composite."""
 
 
-def _trial_divide(n: int, out: Dict[int, int], stop: int):
-    """Divide out d = 2, 3, 5, 7, 9, ... below ``stop`` while d^2 <= n into
-    ``out``; return the cofactor and whether it is 1 or a prime."""
-    d = 2
-    while d < stop and d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    return n, d * d > n
-
-
 def factorize(n: int) -> Dict[int, int]:
     """Factorization of a positive integer, primes in increasing order.
 
@@ -51,10 +40,15 @@ def factorize(n: int) -> Dict[int, int]:
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     out: Dict[int, int] = {}
-    n, done = _trial_divide(n, out, 1000)
-    if done:
+    d = 2
+    while d < 1000 and d * d <= n:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1 if d == 2 else 2
+    if d * d > n:  # the cofactor is 1 or a prime
         if n > 1:
-            out[n] = out.get(n, 0) + 1
+            out[n] = 1
         return out
     _split(n, 1, out)
     return dict(sorted(out.items()))
@@ -109,12 +103,16 @@ def _pollard_brent(n: int) -> int:
 
 
 def is_prime(n: int) -> bool:
-    """Trial division below 10^6, Miller-Rabin with the 13 bases from there;
-    from _MR_LIMIT on a number that passes every base raises PrimalityUnproven."""
-    if n < 10 ** 6:
-        out: Dict[int, int] = {}
-        _trial_divide(n, out, 1000)
-        return n >= 2 and not out
+    """Division by the 13 Miller-Rabin bases, then Miller-Rabin with them;
+    from _MR_LIMIT on a number that passes every base raises PrimalityUnproven.
+
+    A number above 1 that no base divides is a prime above 41 or a composite
+    of at least 43^2, and every base is below it."""
+    if n < 2:
+        return False
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
     d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
@@ -135,11 +133,19 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _rational(x):
+    """``x``, an exponent or scale factor.  A float would be labelled exact,
+    so anything that is not a ``numbers.Rational`` raises TypeError."""
+    if not isinstance(x, numbers.Rational):
+        raise TypeError(f"expected a rational number, got {x!r}")
+    return x
+
+
 class PosRealExact:
     """A positive real number of the form prod p^{e_p}, e_p rational.
 
-    Immutable.  Multiplication adds exponents; ``log()`` is an exact
-    homomorphism onto the symbolic part of :class:`LogValue`.
+    Immutable.  Multiplication adds exponents; ``log()`` wraps ``self`` as
+    the exact part of a :class:`LogValue`.
     """
 
     __slots__ = ("_e",)
@@ -147,8 +153,9 @@ class PosRealExact:
     def __init__(self, exponents: Dict[int, Fraction] | None = None):
         cleaned: Dict[int, Fraction] = {}
         for p, e in (exponents or {}).items():
-            e = Fraction(e)
-            if e != 0:
+            if not isinstance(e, Fraction):
+                e = Fraction(_rational(e))
+            if e:
                 if p < 2:
                     raise ValueError(f"invalid prime base {p}")
                 cleaned[int(p)] = e
@@ -162,18 +169,15 @@ class PosRealExact:
 
     @classmethod
     def prime_power(cls, p: int, e) -> "PosRealExact":
-        return cls({p: Fraction(e)})
+        return cls({p: e})
 
     @classmethod
     def from_rational(cls, q) -> "PosRealExact":
         q = Fraction(q)
         if q <= 0:
             raise ValueError(f"expected a positive rational, got {q}")
-        exps: Dict[int, Fraction] = {}
-        for p, k in factorize(q.numerator).items():
-            exps[p] = exps.get(p, Fraction(0)) + k
-        for p, k in factorize(q.denominator).items():
-            exps[p] = exps.get(p, Fraction(0)) - k
+        exps = factorize(q.numerator)  # coprime to the denominator
+        exps.update((p, -k) for p, k in factorize(q.denominator).items())
         return cls(exps)
 
     # -- views -------------------------------------------------------------
@@ -205,21 +209,18 @@ class PosRealExact:
     def __mul__(self, other: "PosRealExact") -> "PosRealExact":
         exps = dict(self._e)
         for p, e in other._e.items():
-            exps[p] = exps.get(p, Fraction(0)) + e
+            exps[p] = exps[p] + e if p in exps else e
         return PosRealExact(exps)
 
     def __truediv__(self, other: "PosRealExact") -> "PosRealExact":
-        exps = dict(self._e)
-        for p, e in other._e.items():
-            exps[p] = exps.get(p, Fraction(0)) - e
-        return PosRealExact(exps)
+        return self * other ** -1
 
     def __pow__(self, k) -> "PosRealExact":
-        k = Fraction(k)
+        k = _rational(k)
         return PosRealExact({p: e * k for p, e in self._e.items()})
 
     def log(self) -> "LogValue":
-        return LogValue(dict(self._e))
+        return LogValue(self)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, PosRealExact) and self._e == other._e
@@ -234,25 +235,22 @@ class PosRealExact:
 
 
 class LogValue:
-    """Formal sum ``sum_p c_p log p`` (exact) plus a float remainder.
+    """The log of a :class:`PosRealExact` plus a float remainder.
 
-    Equality is exact on the symbolic coefficients and holds the real
-    remainder to a tolerance (default 1e-9).  A value is exact unless it was
-    given a ``real``, even 0.0 (``of_real`` included), or computed from one.
+    The exact part is the formal sum ``sum_p c_p log p`` over the exponents
+    ``c_p`` of that ``PosRealExact``.  Equality is exact on the symbolic
+    coefficients and holds the real remainder to a tolerance (default 1e-9).
+    A value is exact unless it was given a ``real``, even 0.0 (``of_real``
+    included), or computed from one.
     """
 
-    __slots__ = ("_c", "real", "_float")
+    __slots__ = ("_x", "real", "_float")
 
     DEFAULT_TOL = 1e-9
 
-    def __init__(self, coeffs: Dict[int, Fraction] | None = None,
+    def __init__(self, coeffs: Dict[int, Fraction] | PosRealExact | None = None,
                  real: float | None = None):
-        cleaned: Dict[int, Fraction] = {}
-        for p, c in (coeffs or {}).items():
-            c = Fraction(c)
-            if c != 0:
-                cleaned[int(p)] = c
-        self._c = cleaned
+        self._x = coeffs if isinstance(coeffs, PosRealExact) else PosRealExact(coeffs)
         self._float = real is not None
         self.real = float(real or 0.0)
 
@@ -266,36 +264,30 @@ class LogValue:
 
     @property
     def coeffs(self) -> Dict[int, Fraction]:
-        return dict(self._c)
+        return self._x.exponents
 
     def __float__(self) -> float:
-        return math.fsum(float(c) * math.log(p) for p, c in self._c.items()) + self.real
+        return math.fsum(float(c) * math.log(p) for p, c in self._x._e.items()) + self.real
 
     def __add__(self, other: "LogValue") -> "LogValue":
-        coeffs = dict(self._c)
-        for p, c in other._c.items():
-            coeffs[p] = coeffs.get(p, Fraction(0)) + c
-        return LogValue(coeffs, self.real + other.real
+        return LogValue(self._x * other._x, self.real + other.real
                         if self._float or other._float else None)
 
     def __neg__(self) -> "LogValue":
-        return LogValue({p: -c for p, c in self._c.items()},
-                        -self.real if self._float else None)
+        return LogValue(self._x ** -1, -self.real if self._float else None)
 
     def __sub__(self, other: "LogValue") -> "LogValue":
         return self + (-other)
 
     def __mul__(self, k) -> "LogValue":
-        k = Fraction(k)
-        return LogValue({p: c * k for p, c in self._c.items()},
-                        float(k) * self.real if self._float else None)
+        return LogValue(self._x ** k, float(k) * self.real if self._float else None)
 
     __rmul__ = __mul__
 
     def eq(self, other: "LogValue", tol: float | None = None) -> bool:
         """Exact symbolic equality; real remainders within ``tol``."""
         tol = self.DEFAULT_TOL if tol is None else tol
-        return self._c == other._c and abs(self.real - other.real) <= tol
+        return self._x == other._x and abs(self.real - other.real) <= tol
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LogValue) and self.eq(other)
@@ -305,7 +297,7 @@ class LogValue:
 
     def to_json(self, tolerance: float | None = None) -> dict:
         """Schema: symbolic coefficient list, real remainder, provenance tag."""
-        sym = [[p, str(c)] for p, c in sorted(self._c.items())]
+        sym = [[p, str(c)] for p, c in sorted(self._x._e.items())]
         if not self._float:
             prov = "exact-symbolic"
         else:
@@ -313,7 +305,7 @@ class LogValue:
         return {"symbolic": sym, "real": self.real, "provenance": prov}
 
     def __repr__(self) -> str:
-        parts = [f"({c})*log{p}" for p, c in sorted(self._c.items())]
+        parts = [f"({c})*log{p}" for p, c in sorted(self._x._e.items())]
         if self.real != 0.0 or not parts:
             parts.append(f"{self.real!r}")
         return " + ".join(parts)

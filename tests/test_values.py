@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from adelic.globalfields import GlobalFieldDesc, principal_idele
 from adelic.values import LogValue, PosRealExact, PrimalityUnproven, factorize, is_prime
@@ -25,6 +25,8 @@ def test_is_prime():
         if sieve[i]:
             sieve[i * i::i] = bytearray(len(sieve[i * i::i]))
     assert [k for k in range(n) if is_prime(k)] == [k for k in range(n) if sieve[k]]
+    # either side of 10^6, and 1000001 = 101 * 9901
+    assert is_prime(999983) and is_prime(1000003) and not is_prime(1000001)
     # Carmichael numbers and strong pseudoprimes to small bases
     for k in (561, 41041, 2047, 3215031751, 3825123056546413051):
         assert not is_prime(k), k
@@ -144,3 +146,41 @@ def test_logvalue_json_provenance():
     fl = LogValue({}, 0.25)
     assert fl.to_json(1e-10)["provenance"] == "float(1e-10)"
     assert fl.to_json(1e-10)["real"] == 0.25
+
+
+def test_exponents_and_scale_factors_must_be_rational():
+    # a float exponent would print as an exact-symbolic binary fraction
+    with pytest.raises(TypeError):
+        LogValue({2: 1}) * 0.1
+    with pytest.raises(TypeError):
+        LogValue({2: 0.1})
+    with pytest.raises(TypeError):
+        PosRealExact({3: 0.1})
+
+
+prime_maps = st.dictionaries(
+    st.sampled_from([2, 3, 5, 7, 11, 97]),
+    st.fractions(min_value=-6, max_value=6, max_denominator=12), max_size=4)
+
+
+def _clean(v):
+    assert all(type(c) is Fraction and c != 0 for c in v.coeffs.values())
+    return v
+
+
+@settings(derandomize=True, database=None)
+@given(prime_maps, prime_maps, st.fractions(min_value=-4, max_value=4, max_denominator=6),
+       st.booleans())
+def test_logvalue_is_the_log_of_a_posreal(xm, ym, k, real):
+    x, y = PosRealExact(xm), PosRealExact(ym)
+    assert LogValue(x) == LogValue(x.exponents) == x.log()
+    s = _clean(x.log() + y.log())
+    assert s.coeffs == (x * y).exponents
+    assert _clean(x.log() * k) == (x ** k).log()
+    assert _clean(-x.log()) == (PosRealExact.one() / x).log()
+    assert _clean(x.log() - x.log()).coeffs == {}
+    exact = [x.log() + y.log(), x.log() * k, -x.log(), x.log() - y.log()]
+    assert {v.to_json()["provenance"] for v in exact} == {"exact-symbolic"}
+    r = LogValue(y, 0.5) if real else LogValue.of_real(0.0)
+    mixed = [x.log() + r, r + x.log(), r * k, -r, x.log() - r]
+    assert {v.to_json()["provenance"] for v in mixed} == {"float"}
