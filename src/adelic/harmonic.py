@@ -8,13 +8,13 @@ normalized by mu(O_v) = p^(-d/2) the Fourier transform is an exact
 involution up to reflection, and the classical coset-integral formulas are
 reproduced by honest character sums.
 
-Every scalar is canonical from construction on: its angle terms are
-coordinates in the power basis of the p^k-th cyclotomic field (full
-1/p-cycles of equal coefficients cancel, zero coefficients are dropped) and
-its measure factor has only exponents in [0, 1).  Vanishing of a character
-sum is therefore decided exactly, by an empty term table; a complex-float
-evaluation is kept around as a numeric cross-check, not as the arbiter.
-Step-function tables likewise never store a zero value.
+A scalar is held in one integer form, the one the transform computes in:
+(sum over m of c_m zeta_D^m) / den times the measure factor, with D a power
+of p and integers c_m and den.  It is canonical from construction on (see
+:class:`CycScalar`), so vanishing of a character sum is decided exactly, by
+an empty coefficient table; a complex-float evaluation is kept around as a
+numeric cross-check, not as the arbiter.  Step-function tables likewise
+never store a zero value.
 
 Every measure here is a half-integral power of p, and a transform maps a
 function whose values share one measure factor to another such function.
@@ -25,6 +25,7 @@ scalars with different factors.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from collections import Counter
@@ -43,7 +44,7 @@ from .localfields import (
     local_measure,
     standard_character,
 )
-from .values import PosRealExact
+from .values import PosRealExact, exact_rational
 
 
 class HarmonicError(Exception):
@@ -55,28 +56,18 @@ class HarmonicError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _p_power_denominator(p: int, angles: Iterable[Fraction]) -> int:
-    """The largest denominator among the angles, each a power of p."""
-    D = 1
-    for r in angles:
-        den = r.denominator
-        q = den
-        while q % p == 0:
-            q //= p
-        if q != 1:
-            raise HarmonicError(f"angle {r} has non-{p}-power denominator")
-        D = max(D, den)
-    return D
+def _normalize(p: int, D: int, work: Dict[int, int],
+               den: int) -> Tuple[int, Dict[int, int], int]:
+    """Canonical (D, coeffs, den) of (sum_m work[m] zeta_D^m) / den.
 
-
-def _fold_cycles(p: int, D: int, work: Dict[int, object]) -> Dict[int, object]:
-    """Power-basis coordinates in Q(zeta_D) of sum c_m zeta_D^m, D a power of p.
-
-    Exponents >= (p-1)*D/p are rewritten through the cyclotomic relation
-    1 + zeta^(D/p) + ... + zeta^((p-1)D/p) = 0, which cancels exactly the
-    full 1/p-cycles; the rewritten exponents all fall below that bound, so
-    one pass suffices.  ``work`` (exponent in [0, D) -> int or Fraction) is
-    consumed; zero coefficients are dropped.  D = 1 has nothing to fold.
+    D is a power of p, ``work`` (consumed) maps exponents in [0, D) to ints
+    and den > 0.  Exponents >= (p-1)*D/p are rewritten through the
+    cyclotomic relation 1 + zeta^(D/p) + ... + zeta^((p-1)D/p) = 0, which
+    cancels exactly the full 1/p-cycles; the rewritten exponents all fall
+    below that bound, so one pass suffices.  The power basis of
+    Q(zeta_(D/g)) is part of that of Q(zeta_D), so when g divides D and
+    every exponent, D/g holds the value; h, the gcd of den and the
+    coefficients, is cancelled.  Zero is (1, {}, 1).
     """
     if D > 1:
         step = D // p
@@ -85,7 +76,13 @@ def _fold_cycles(p: int, D: int, work: Dict[int, object]) -> Dict[int, object]:
             c = work.pop(m)
             for j in range(1, p):
                 work[m - j * step] = work.get(m - j * step, 0) - c
-    return {m: c for m, c in work.items() if c}
+    coeffs = {m: c for m, c in work.items() if c}
+    if not coeffs:
+        return 1, {}, 1
+    g, h = math.gcd(D, *coeffs), math.gcd(den, *coeffs.values())
+    if g > 1 or h > 1:
+        coeffs = {m // g: c // h for m, c in coeffs.items()}
+    return D // g, coeffs, den // h
 
 
 def _split_measure(m: PosRealExact) -> Tuple[Fraction, PosRealExact]:
@@ -101,46 +98,51 @@ def _split_measure(m: PosRealExact) -> Tuple[Fraction, PosRealExact]:
 
 
 class CycScalar:
-    """(sum over angles r of c_r * e^{2 pi i r}) * measure_factor, exact.
+    """(sum over m of coeffs[m] * zeta_D^m) / den * measure_factor, exact.
 
+    ``D`` is a power of p and zeta_D = e^{2 pi i / D}; ``coeffs`` maps
+    exponents m < (p-1)D/p to nonzero ints and ``den`` is an int > 0.
     Canonical by construction: the constructor sums angles equal mod 1,
-    folds the terms into the cyclotomic power basis, drops zero
-    coefficients and moves the rational part of the measure factor into the
-    coefficients; zero has measure factor 1.  Under one measure factor the
-    term table is then unique, and every operation keeps the form.
+    folds the terms into the power basis of Q(zeta_D), takes the least such
+    D, drops zero coefficients, takes den coprime to the coefficients and
+    moves the rational part of the measure factor into them; zero is D = 1,
+    no coefficients, den = 1 and measure factor 1.  Under one measure factor
+    the form is then unique, and every operation keeps it.  ``terms`` views
+    the form as {angle m/D: coefficient c/den}.
 
     Sums, differences and comparisons need one measure factor: nonzero
     scalars with different factors raise HarmonicError; zero goes with any.
     """
 
-    __slots__ = ("p", "terms", "measure_factor")
+    __slots__ = ("p", "D", "coeffs", "den", "measure_factor")
 
     def __init__(self, p: int, terms: Dict[Fraction, Fraction],
                  measure_factor: PosRealExact | None = None):
-        self.p = p
-        angles = [(Fraction(r), Fraction(c)) for r, c in terms.items()]
-        D = _p_power_denominator(p, (r for r, _ in angles))
-        work: Dict[int, Fraction] = {}
-        for r, c in angles:
+        # a float angle or coefficient would be taken at its binary value
+        pairs = [(exact_rational(r), exact_rational(c)) for r, c in terms.items()]
+        D = math.lcm(1, *(r.denominator for r, _ in pairs))
+        if pow(p, D.bit_length(), D):
+            raise HarmonicError(f"angle denominator {D} is not a power of {p}")
+        den = math.lcm(1, *(c.denominator for _, c in pairs))
+        ratio, mf = (1, None) if measure_factor is None \
+            else _split_measure(measure_factor)
+        work: Dict[int, int] = {}
+        for r, c in pairs:
             m = r.numerator * (D // r.denominator) % D
-            work[m] = work.get(m, 0) + c
-        self.terms = {Fraction(m, D): c for m, c in _fold_cycles(p, D, work).items()}
-        self.measure_factor = PosRealExact.one()
-        if self.terms and measure_factor is not None:
-            ratio, self.measure_factor = _split_measure(measure_factor)
-            if ratio != 1:
-                self.terms = {r: c * ratio for r, c in self.terms.items()}
+            work[m] = work.get(m, 0) + c.numerator * (den // c.denominator) * ratio.numerator
+        self.p = p
+        self.D, self.coeffs, self.den = _normalize(p, D, work, den * ratio.denominator)
+        self.measure_factor = mf if self.coeffs and mf is not None else PosRealExact.one()
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
-    def _raw(cls, p: int, terms: Dict[Fraction, Fraction],
-             measure_factor: PosRealExact) -> "CycScalar":
-        """Internal: terms and measure factor must already be canonical."""
+    def _make(cls, p: int, D: int, coeffs: Dict[int, int], den: int,
+              measure_factor: PosRealExact) -> "CycScalar":
+        """A scalar from the canonical parts that _normalize returns."""
         obj = object.__new__(cls)
-        obj.p = p
-        obj.terms = terms
-        obj.measure_factor = measure_factor
+        obj.p, obj.D, obj.coeffs, obj.den = p, D, coeffs, den
+        obj.measure_factor = measure_factor if coeffs else PosRealExact.one()
         return obj
 
     @classmethod
@@ -149,15 +151,15 @@ class CycScalar:
 
     @classmethod
     def rational(cls, p: int, q) -> "CycScalar":
-        return cls(p, {Fraction(0): Fraction(q)})
+        return cls(p, {0: q})
 
     @classmethod
     def from_posreal(cls, p: int, m: PosRealExact) -> "CycScalar":
-        return cls(p, {Fraction(0): Fraction(1)}, m)
+        return cls(p, {0: 1}, m)
 
     @classmethod
     def from_angle(cls, p: int, angle: UnitAngle, coeff=1) -> "CycScalar":
-        return cls(p, {angle.r: Fraction(coeff)})
+        return cls(p, {angle.r: coeff})
 
     # -- canonical form ---------------------------------------------------------
 
@@ -165,71 +167,71 @@ class CycScalar:
         """The canonical form, which every scalar already is."""
         return self
 
+    @property
+    def terms(self) -> Dict[Fraction, Fraction]:
+        """A fresh {angle m/D: coefficient c/den} view of the integer form."""
+        return {Fraction(m, self.D): Fraction(c, self.den) for m, c in self.coeffs.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.coeffs
 
     def as_rational(self) -> Fraction:
         """Exact rational value; raises when irrational."""
-        if not self.terms:
-            return Fraction(0)
-        if set(self.terms) != {Fraction(0)} or not self.measure_factor.is_one():
+        if self.D != 1 or not self.measure_factor.is_one():
             raise HarmonicError(f"{self} is not rational")
-        return self.terms[Fraction(0)]
+        return Fraction(self.coeffs.get(0, 0), self.den)
 
     # -- arithmetic ---------------------------------------------------------------
 
-    def _aligned_terms(self, other: "CycScalar"):
-        """Both term tables over their common measure factor; a zero operand
-        takes the other's."""
-        if self.measure_factor == other.measure_factor:
-            return self.terms, other.terms, self.measure_factor
-        if not self.terms:
-            return {}, other.terms, other.measure_factor
-        if not other.terms:
-            return self.terms, {}, self.measure_factor
+    def _measure_with(self, other: "CycScalar") -> PosRealExact:
+        """The operands' common measure factor; a zero takes the other's."""
+        if self.measure_factor == other.measure_factor or not other.coeffs:
+            return self.measure_factor
+        if not self.coeffs:
+            return other.measure_factor
         raise HarmonicError(
             f"incompatible measure factors {self.measure_factor} / {other.measure_factor}")
 
     def __add__(self, other: "CycScalar") -> "CycScalar":
-        # a union of power-basis terms stays in the power basis
-        ta, tb, mf = self._aligned_terms(other)
-        out = dict(ta)
-        for r, c in tb.items():
-            c += out.get(r, 0)
-            if c:
-                out[r] = c
-            else:
-                del out[r]
-        return CycScalar._raw(self.p, out, mf if out else PosRealExact.one())
+        # a union of power-basis terms stays in the power basis; the sum
+        # may still lie in a smaller field or share a factor with den
+        mf = self._measure_with(other)
+        D = max(self.D, other.D)
+        den = math.lcm(self.den, other.den)
+        work: Dict[int, int] = {}
+        for x in (self, other):
+            s, k = D // x.D, den // x.den
+            for m, c in x.coeffs.items():
+                work[m * s] = work.get(m * s, 0) + c * k
+        return CycScalar._make(self.p, *_normalize(self.p, D, work, den), mf)
 
     def __neg__(self) -> "CycScalar":
-        return CycScalar._raw(self.p, {r: -c for r, c in self.terms.items()},
-                              self.measure_factor)
+        return self.scale_rational(-1)
 
     def __sub__(self, other: "CycScalar") -> "CycScalar":
         return self + (-other)
 
     def __mul__(self, other: "CycScalar") -> "CycScalar":
-        out: Dict[Fraction, Fraction] = {}
-        for r1, c1 in self.terms.items():
-            for r2, c2 in other.terms.items():
-                r = r1 + r2
-                out[r] = out.get(r, 0) + c1 * c2
-        return CycScalar(self.p, out, self.measure_factor * other.measure_factor)
+        D = max(self.D, other.D)
+        s, t = D // self.D, D // other.D
+        ratio, mf = _split_measure(self.measure_factor * other.measure_factor)
+        work: Dict[int, int] = {}
+        for m1, c1 in self.coeffs.items():
+            for m2, c2 in other.coeffs.items():
+                m = (m1 * s + m2 * t) % D
+                work[m] = work.get(m, 0) + c1 * c2 * ratio.numerator
+        return CycScalar._make(self.p, *_normalize(
+            self.p, D, work, self.den * other.den * ratio.denominator), mf)
 
     def scale_rational(self, q) -> "CycScalar":
-        q = Fraction(q)
-        if q == 0:
-            return CycScalar._raw(self.p, {}, PosRealExact.one())
-        return CycScalar._raw(self.p, {r: c * q for r, c in self.terms.items()},
-                              self.measure_factor)
+        return self * CycScalar.rational(self.p, q)
 
     def scale_measure(self, m: PosRealExact) -> "CycScalar":
-        return CycScalar(self.p, self.terms, self.measure_factor * m)
+        return self * CycScalar.from_posreal(self.p, m)
 
     def eq(self, other: "CycScalar") -> bool:
-        ta, tb, _ = self._aligned_terms(other)
-        return ta == tb
+        self._measure_with(other)
+        return (self.D, self.den, self.coeffs) == (other.D, other.den, other.coeffs)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CycScalar):
@@ -239,22 +241,21 @@ class CycScalar:
     __hash__ = None  # type: ignore[assignment]
 
     def complex_value(self) -> complex:
-        total = 0j
-        for r, c in self.terms.items():
-            arg = 2 * math.pi * float(r)
-            total += complex(float(c) * math.cos(arg), float(c) * math.sin(arg))
-        return total * float(self.measure_factor)
+        total = sum((c * cmath.exp(2j * math.pi * m / self.D)
+                     for m, c in self.coeffs.items()), 0j)
+        return total / self.den * float(self.measure_factor)
 
     def to_json(self) -> dict:
+        terms = sorted(self.terms.items())
         return {
-            "angles": [[r.numerator, r.denominator] for r in sorted(self.terms)],
-            "coefficients": [str(self.terms[r]) for r in sorted(self.terms)],
+            "angles": [[r.numerator, r.denominator] for r, _ in terms],
+            "coefficients": [str(c) for _, c in terms],
             "measure_factor": {str(q): str(e) for q, e in
                                sorted(self.measure_factor.exponents.items())},
         }
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         body = " + ".join(f"({co})e({r})" for r, co in sorted(self.terms.items()))
         if self.measure_factor.is_one():
@@ -288,7 +289,7 @@ class StepFunction:
         if self.support_bound + self.level < 0:
             raise HarmonicError(
                 f"support bound {self.support_bound} + level {self.level} < 0")
-        values = {k: v for k, v in self.values.items() if v.terms}
+        values = {k: v for k, v in self.values.items() if v.coeffs}
         object.__setattr__(self, "values", values)
         mf = self.measure_factor
         if any(v.measure_factor != mf for v in values.values()):
@@ -456,15 +457,18 @@ def fourier(f: StepFunction) -> StepFunction:
     out_pos = range(-Mh, Nh)
     reps = field.residue_reps()
     kernels = {i + j: _kernel_angles(field, i + j) for i in out_pos for j in in_pos}
-    D = _p_power_denominator(
-        p, itertools.chain(*kernels.values(), *(v.terms for v in f.values.values())))
-    L = math.lcm(1, *(c.denominator for v in f.values.values() for c in v.terms.values()))
+    D = math.lcm(1, *(r.denominator for A in kernels.values() for r in A),
+                 *(v.D for v in f.values.values()))
+    L = math.lcm(1, *(v.den for v in f.values.values()))
+    # the rational part of mf * mu scales every input coefficient
+    ratio, residual = _split_measure(f.measure_factor * coset_measure(field, N))
+    num, den = ratio.numerator, ratio.denominator * L
 
     # pair[s][b][k]: the angle of chi(-lift(reps[k]) lift(b) pi^s), times D.
     # For f = 2, lift(a) lift(b) = a0 b0 + (a0 b1 + a1 b0) theta + a1 b1 theta^2
     pair = {}
     for s, A in kernels.items():
-        A = [int(r * D) for r in A]
+        A = [r.numerator * (D // r.denominator) for r in A]
         if field.f == 1:
             pair[s] = {b: [a * b * A[0] for a in reps] for b in reps}
         else:
@@ -473,7 +477,7 @@ def fourier(f: StepFunction) -> StepFunction:
                        for w0, w1 in [(b0 * A[0] + b1 * A[1], b0 * A[1] + b1 * A[2])]}
 
     # one flat integer table indexed by
-    # (output coset in product order) * D + exponent of zeta_D
+    # (output coset in product order) * D + exponent of zeta_D, over den
     n_out = len(reps) ** len(out_pos)
     table = [0] * (n_out * D)
     for yvec, val in f.values.items():
@@ -483,31 +487,21 @@ def fourier(f: StepFunction) -> StepFunction:
             for j, b in zip(in_pos, yvec):
                 contrib = [c + e for c, e in zip(contrib, pair[i + j][b])]
             angles = [s + c for s in angles for c in contrib]
-        terms = [(r.numerator * (D // r.denominator), int(c * L))
-                 for r, c in val.terms.items()]
+        s, k = D // val.D, L // val.den * num
+        terms = [(m * s, c * k) for m, c in val.coeffs.items()]
         base = 0
         for ang in angles:
             for m, c in terms:
                 table[base + (ang + m) % D] += c
             base += D
 
-    # fold the rational part of mf * mu into one coefficient scale
-    ratio, residual = _split_measure(f.measure_factor * coset_measure(field, N))
-    scale = ratio / L
-    num, den = scale.numerator, scale.denominator
-    angle_of: Dict[int, Fraction] = {}
     out_values: Dict[DigitVec, CycScalar] = {}
     for xi, xvec in enumerate(itertools.product(reps, repeat=len(out_pos))):
         lo = xi * D
-        work = _fold_cycles(p, D, {m: c for m, c in enumerate(table[lo:lo + D]) if c})
-        if work:
-            terms = {}
-            for m, c in work.items():
-                r = angle_of.get(m)
-                if r is None:
-                    r = angle_of[m] = Fraction(m, D)
-                terms[r] = Fraction(c * num, den)
-            out_values[xvec] = CycScalar._raw(p, terms, residual)
+        Dx, coeffs, denx = _normalize(
+            p, D, {m: c for m, c in enumerate(table[lo:lo + D]) if c}, den)
+        if coeffs:
+            out_values[xvec] = CycScalar._make(p, Dx, coeffs, denx, residual)
     return StepFunction(field, Mh, Nh, out_values)
 
 

@@ -133,9 +133,10 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _rational(x):
-    """``x``, an exponent or scale factor.  A float would be labelled exact,
-    so anything that is not a ``numbers.Rational`` raises TypeError."""
+def exact_rational(x):
+    """``x``, a number that is to be held exactly.  A float would be taken at
+    its binary value and labelled exact, so anything that is not a
+    ``numbers.Rational`` raises TypeError."""
     if not isinstance(x, numbers.Rational):
         raise TypeError(f"expected a rational number, got {x!r}")
     return x
@@ -154,7 +155,7 @@ class PosRealExact:
         cleaned: Dict[int, Fraction] = {}
         for p, e in (exponents or {}).items():
             if not isinstance(e, Fraction):
-                e = Fraction(_rational(e))
+                e = Fraction(exact_rational(e))
             if e:
                 if p < 2:
                     raise ValueError(f"invalid prime base {p}")
@@ -173,7 +174,7 @@ class PosRealExact:
 
     @classmethod
     def from_rational(cls, q) -> "PosRealExact":
-        q = Fraction(q)
+        q = Fraction(exact_rational(q))
         if q <= 0:
             raise ValueError(f"expected a positive rational, got {q}")
         exps = factorize(q.numerator)  # coprime to the denominator
@@ -216,7 +217,7 @@ class PosRealExact:
         return self * other ** -1
 
     def __pow__(self, k) -> "PosRealExact":
-        k = _rational(k)
+        k = exact_rational(k)
         return PosRealExact({p: e * k for p, e in self._e.items()})
 
     def log(self) -> "LogValue":

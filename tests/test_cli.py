@@ -245,6 +245,11 @@ def test_suite_fast(capsys):
     # place codes past 10^18: a degree-521 trinomial over F_2, 3^40 over F_3
     ("chi", "--field", "Fq(t) q=2", "--idele", f"p{2 ** 521 + 2 ** 32 + 1}#0:1"),
     ("chi", "--field", "Fq(t) q=3", "--idele", f"p{3 ** 40}#0:1"),
+    # file inputs that cannot be read, and a place kind that does not exist
+    ("chi", "--config"),
+    ("chi", "--config", "/nonexistent/run.cfg"),
+    ("chi", "--field", "@/nonexistent/field.txt"),
+    ("chi", "--idele", "x5:1"),
 ])
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)

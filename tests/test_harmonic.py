@@ -1,4 +1,7 @@
+import hashlib
 import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
@@ -29,6 +32,7 @@ from adelic.localfields import (
     standard_character,
     validated_quadratics,
 )
+from adelic.suite import local_field_roster
 from adelic.values import PosRealExact
 
 
@@ -79,18 +83,85 @@ def test_cyc_full_cycle_cancels():
     assert y.is_zero()
 
 
+def assert_canonical(x):
+    """The integer form's conditions: D the least power of p that holds the
+    power-basis exponents, nonzero coefficients, den > 0 coprime to them and
+    a measure factor with exponents in [0, 1); zero is D = 1, den = 1."""
+    p, D = x.p, x.D
+    assert D >= 1 and pow(p, D.bit_length(), D) == 0
+    assert all(0 <= m < max(1, (p - 1) * D // p) for m in x.coeffs)
+    assert D == 1 or any(m % p for m in x.coeffs)
+    assert all(x.coeffs.values())
+    assert x.den > 0 and math.gcd(x.den, *x.coeffs.values()) == 1
+    assert all(0 <= e < 1 for e in x.measure_factor.exponents.values())
+    if not x.coeffs:
+        assert (D, x.den) == (1, 1) and x.measure_factor.is_one()
+
+
+def random_cyc_terms(rng, p):
+    """Angles with denominators up to p^4, some carrying a cancelling
+    1/p-cycle, and coefficients with small denominators."""
+    k = rng.randint(0, 4)
+    terms = {Fraction(rng.randrange(p ** k), p ** k):
+             Fraction(rng.randint(-5, 5), rng.choice([1, 1, 2, 3, 4]))
+             for _ in range(rng.randint(1, 6))}
+    if k and rng.random() < 0.5:
+        r0, c = Fraction(rng.randrange(p ** k), p ** k), rng.randint(1, 5)
+        for j in range(p):
+            terms[r0 + Fraction(j, p)] = terms.get(r0 + Fraction(j, p), 0) + c
+    return terms
+
+
 def test_cyc_canonicalization_idempotent_and_sound():
     rng = random.Random(123)
     for p in (2, 3, 5):
         for _ in range(60):
-            k = rng.randint(0, 3)
-            terms = {Fraction(rng.randrange(p ** k), p ** k): Fraction(rng.randint(-5, 5))
-                     for _ in range(rng.randint(1, 6))}
-            x = CycScalar(p, terms, PosRealExact.prime_power(p, Fraction(rng.randint(-4, 4), 2)))
+            terms = random_cyc_terms(rng, p)
+            mf = PosRealExact.prime_power(p, Fraction(rng.randint(-4, 4), 2))
+            x = CycScalar(p, terms, mf)
             c = x.canonical()
             cc = c.canonical()
             assert c.terms == cc.terms and c.measure_factor == cc.measure_factor
             assert abs(x.complex_value() - c.complex_value()) < 1e-12
+            # the terms view round-trips, and angles r and r + 1 are one angle
+            assert CycScalar(p, x.terms, x.measure_factor).eq(x)
+            assert CycScalar(p, {r + 1: co for r, co in terms.items()}, mf).eq(x)
+            # arithmetic keeps the form and agrees with complex arithmetic
+            y = CycScalar(p, random_cyc_terms(rng, p), mf)
+            q = Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+            m = PosRealExact.prime_power(p, Fraction(rng.randint(-3, 3), 2))
+            X, Y = x.complex_value(), y.complex_value()
+            for got, want in ((x, X), (x + y, X + Y), (x - y, X - Y), (-x, -X),
+                              (x * y, X * Y), (x.scale_rational(q), X * float(q)),
+                              (x.scale_measure(m), X * float(m))):
+                assert_canonical(got)
+                assert abs(got.complex_value() - want) < 1e-9
+
+
+def test_cyc_refuses_non_p_power_angles_and_irrational_as_rational():
+    with pytest.raises(HarmonicError, match="denominator"):
+        CycScalar(3, {Fraction(1, 6): 1})
+    with pytest.raises(HarmonicError, match="denominator"):
+        CycScalar(3, {Fraction(1, 9): 1, Fraction(1, 2): 1})
+    x = CycScalar(3, {Fraction(1, 9): Fraction(1, 2), Fraction(0): 2,
+                      Fraction(7, 9): Fraction(5, 6)}, PosRealExact.prime_power(3, Fraction(3, 2)))
+    assert repr(x) == "[(6)e(0) + (-1)e(1/9) + (-5/2)e(4/9)] * 3^1/2"
+    for irrational in (x, CycScalar(3, {Fraction(1, 3): 1}),
+                       CycScalar.from_posreal(3, PosRealExact.prime_power(3, Fraction(1, 2)))):
+        with pytest.raises(HarmonicError, match="is not rational"):
+            irrational.as_rational()
+
+
+def test_floats_refused_where_exact_rationals_are_built():
+    # a float would be taken at its binary value and labelled exact
+    K = base_field(2)
+    for build in (lambda: PosRealExact.from_rational(0.1),
+                  lambda: CycScalar.rational(3, 0.1),
+                  lambda: indicator(K, 0).scale(0.1),
+                  lambda: CycScalar(2, {0.1: 1}),
+                  lambda: CycScalar(2, {0: 0.5})):
+        with pytest.raises(TypeError):
+            build()
 
 
 def test_cyc_incompatible_scalars_only_equal_when_zero():
@@ -290,6 +361,23 @@ def test_inversion_negative_control():
     assert rep.witnesses  # includes the offending coset
 
 
+def test_inversion_negative_control_report():
+    # the suite's negative control: one coset of the true double transform
+    # raised by 1; the witness strings are the scalars' repr
+    K = base_field(2)
+    f = random_step_function(K, random.Random(99), coset_cap=64)
+    g = fourier(fourier(f))
+    key = next(iter(g.values), (0,) * g.length)
+    vals = dict(g.values)
+    vals[key] = vals.get(key, CycScalar.zero(2)) + CycScalar.rational(2, 1)
+    rep = verify_inversion(f, double_transform=StepFunction(K, g.support_bound, g.level, vals))
+    out = rep.to_json()
+    assert not rep.passed and not out["pass"] and 1 <= len(out["witnesses"]) <= 5
+    assert out == {"field": "Q_2", "pass": False, "cosets_checked": 4,
+                   "witnesses": [{"coset": ["0", "0"], "lhs": "(-1/3)e(0)",
+                                  "rhs": "(2/3)e(0)"}]}
+
+
 def test_inversion_rejects_mismatched_shape():
     K = base_field(3)
     f = indicator(K, 1)
@@ -404,3 +492,23 @@ def test_fourier_matches_direct_character_sum(K):
             else:
                 assert got is not None and got.eq(want), \
                     (K.describe(), f.support_bound, f.level, xvec)
+
+
+# sha256 of the JSON of the transforms below, recorded when every scalar was
+# a table of Fraction angles and coefficients: the integer form must print
+# the same values
+TRANSFORM_DIGEST = "bb4497b9217eb1a4f43990fcf3e0d2d3af1b319dee26a11faa2b965c86c302ef"
+
+
+def test_transform_json_digest():
+    h = hashlib.sha256()
+    rng = random.Random(2208)
+    for K in local_field_roster():
+        functions = [indicator(K, m) for m in range(-2, 3)]
+        functions += [random_step_function(K, rng) for _ in range(60)]
+        for f in functions:
+            g = fourier(f)
+            cosets = sorted([list(map(str, k)), v.to_json()] for k, v in g.values.items())
+            h.update(json.dumps([K.describe(), g.support_bound, g.level, cosets],
+                                sort_keys=True).encode())
+    assert h.hexdigest() == TRANSFORM_DIGEST
