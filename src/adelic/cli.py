@@ -32,6 +32,7 @@ from typing import Dict, List, Optional
 
 from . import ffpoly
 from .euler import (
+    DEFAULT_PARAMS,
     RadiusExceeded,
     ThetaParams,
     chi,
@@ -407,34 +408,37 @@ def build_parser() -> argparse.ArgumentParser:
         description="Euler characteristics of Arakelov divisors via adelic integrals")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, idele=True):
-        p.add_argument("--field", required=False, default="Q",
-                       help="field literal or descriptor file")
+    def command(name, func, summary, field=True, idele=True, theta=False, seed=True):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        if field:
+            p.add_argument("--field", required=False, default="Q",
+                           help="field literal or descriptor file")
         if idele:
             p.add_argument("--idele", default=None,
                            help='idele literal, e.g. "p5#0:-1,inf#0:2.5"')
-        p.add_argument("--tol", type=lambda t: _positive_float(t, "--tol"),
-                       default=1e-10, help="theta tolerance (default 1e-10)")
-        p.add_argument("--max-radius", default=4096.0,
-                       type=lambda t: _positive_float(t, "--max-radius"))
+        if theta:
+            p.add_argument("--tol", type=lambda t: _positive_float(t, "--tol"),
+                           default=DEFAULT_PARAMS.tolerance,
+                           help=f"theta tolerance (default {DEFAULT_PARAMS.tolerance:g})")
+            p.add_argument("--max-radius", default=DEFAULT_PARAMS.max_radius,
+                           type=lambda t: _positive_float(t, "--max-radius"))
         p.add_argument("--output", choices=("text", "json"), default="text")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", default=None,
                        help="file with flag=value lines (flags override)")
+        return p
 
-    p = sub.add_parser("describe", help="print field invariants")
-    common(p, idele=False)
-
+    command("describe", cmd_describe, "print field invariants", idele=False, seed=False)
     for name in ("chi", "h0", "h1", "chi-rel"):
-        p = sub.add_parser(name, help=f"compute {name}")
-        common(p)
+        p = command(name, cmd_value, f"compute {name}", theta=name in ("h0", "h1"))
         if name == "chi-rel":
             p.add_argument("--base", default="Q", help="base field literal")
 
-    p = sub.add_parser("verify", help="run a verification")
+    p = command("verify", cmd_verify, "run a verification", theta=True)
     p.add_argument("what", choices=("rr", "rr-rel", "serre", "poisson",
                                     "lemmas", "inversion"))
-    common(p)
     p.add_argument("--base", default="Q")
     p.add_argument("--count", type=int, default=20,
                    help="random ideles / functions when no --idele given")
@@ -443,14 +447,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", dest="range_", type=parse_range,
                    default=range(-3, 4), help="m range for lemmas, e.g. -3..3")
 
-    p = sub.add_parser("suite", help="run the full verification battery")
-    p.add_argument("--output", choices=("text", "json"), default="text")
-    p.add_argument("--seed", type=int, default=0)
+    p = command("suite", cmd_suite, "run the full verification battery",
+                field=False, idele=False)
     p.add_argument("--fast", action="store_true",
                    help="smaller randomized sample sizes")
-    p.add_argument("--config", default=None)
 
     p = sub.add_parser("transform", help="dump a Fourier transform table as JSON")
+    p.set_defaults(func=cmd_transform)
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--base-kind", choices=("p-adic", "laurent"), default="p-adic")
     p.add_argument("--quad-index", type=int, default=None,
@@ -490,17 +493,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(bound)
-        if args.command == "describe":
-            return cmd_describe(args)
-        if args.command in ("chi", "h0", "h1", "chi-rel"):
-            return cmd_value(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "suite":
-            return cmd_suite(args)
-        if args.command == "transform":
-            return cmd_transform(args)
-        raise CLIError(f"unknown command {args.command!r}")
+        return args.func(args)
     except CLIError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

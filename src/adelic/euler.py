@@ -228,12 +228,12 @@ def verify_serre(field: GlobalFieldDesc, alpha: Idele,
     """h0(D_{alpha^-1 kappa}) = h1(D_alpha).
 
     The left side is a fresh section count at the dual idele; the right
-    side is h0(alpha) - chi(alpha).  Exact (integer multiples of log q) on
-    function fields; compared within check_tol on number fields.
+    side is h1(alpha).  Exact (integer multiples of log q) on function
+    fields; compared within check_tol on number fields.
     """
     start = time.perf_counter()
     lhs, points = h0_with_count(field, alpha.inv() * canonical_idele(field), params)
-    rhs = h0(field, alpha, params) - chi(field, alpha)
+    rhs = h1(field, alpha, params)
     if field.kind == RATFUNC:
         passed = lhs.eq(rhs, tol=0.0)
     else:

@@ -3,7 +3,8 @@
 Supported fields: Q, quadratic number fields Q(sqrt d), rational function
 fields F_q(t), and hyperelliptic extensions y^2 = f(t) for odd q.  Places
 carry their splitting data (by the Kronecker symbol of the discriminant,
-resp. the residue symbol of f), ramification and residue cardinalities.
+resp. the residue symbol of f); ramification and residue cardinalities
+follow from it.
 
 Conventions.  An idele stores its finite components as valuations
 n = v(alpha_v) and its archimedean components as positive reals.  The
@@ -41,12 +42,6 @@ RATIONAL = "rational"
 QUADRATIC = "quadratic-number-field"
 RATFUNC = "rational-function-field"
 HYPERELLIPTIC = "hyperelliptic-function-field"
-
-FINITE = "finite"
-REAL = "real"
-COMPLEX = "complex"
-FF_FINITE = "ff-finite"
-FF_INFINITE = "ff-infinite"
 
 SPLIT = "split"
 INERT = "inert"
@@ -182,19 +177,24 @@ class GlobalFieldDesc:
 @dataclass(frozen=True)
 class Place:
     """A place of a global field.  Stored: its defining data (the place
-    below, splitting, index, e, f, and omega's root mod p on a quadratic
-    field).  Derived once from them: #k_v, its degree over the constant
-    field (0 on number fields) and log #k_v; None, 0 and None at an
-    archimedean place."""
+    below, splitting, index, and omega's root mod p on a quadratic field).
+    Derived from them: e, f, whether it is archimedean, e_v, #k_v, its
+    degree over the constant field (0 on number fields) and log #k_v; None,
+    0 and None at an archimedean place."""
 
     field: GlobalFieldDesc
-    kind: str
-    below: object = None          # rational prime, base polynomial, or INFINITY
+    below: object                 # rational prime, base polynomial, or INFINITY
     splitting: str | None = None
     index: int = 0
-    e: int = 1
-    f: int = 1
     root: int | None = None       # omega root mod p (number-field places)
+
+    @property
+    def e(self) -> int:
+        return 2 if self.splitting == RAMIFIED else 1
+
+    @property
+    def f(self) -> int:
+        return 2 if self.splitting == INERT else 1
 
     @cached_property
     def deg(self) -> int:
@@ -222,28 +222,21 @@ class Place:
 
     @property
     def e_v(self) -> int:
-        if self.kind == COMPLEX:
-            return 2
-        if self.kind == REAL:
-            return 1
-        raise GlobalFieldError("e_v is an archimedean constant")
+        if not self.is_archimedean():
+            raise GlobalFieldError("e_v is an archimedean constant")
+        return 2 if self.field.kind == QUADRATIC and self.field.d < 0 else 1
 
     def is_archimedean(self) -> bool:
-        return self.kind in (REAL, COMPLEX)
+        return self.below == INFINITY and not self.field.is_function_field
 
     def is_ramified(self) -> bool:
-        return self.e == 2
+        return self.splitting == RAMIFIED
 
     def label(self) -> str:
-        if self.kind == REAL:
+        if self.below == INFINITY:
             return f"inf#{self.index}"
-        if self.kind == COMPLEX:
-            return "inf#0"
-        if self.kind in (FF_FINITE, FF_INFINITE):
-            if self.below == INFINITY:
-                return f"inf#{self.index}"
-            enc = ffpoly.poly_to_int(gf(self.field.q), self.below)
-            return f"p{enc}#{self.index}"
+        if self.field.is_function_field:
+            return f"p{ffpoly.poly_to_int(gf(self.field.q), self.below)}#{self.index}"
         return f"p{self.below}#{self.index}"
 
     def __repr__(self) -> str:
@@ -288,16 +281,16 @@ def places_above(field: GlobalFieldDesc, below) -> List[Place]:
 def _places_above(field: GlobalFieldDesc, below) -> Tuple[Place, ...]:
     if field.kind == RATIONAL:
         if below == INFINITY:
-            return (Place(field, REAL),)
+            return (Place(field, INFINITY),)
         if not is_prime(below):
             raise UnsupportedField(f"{below} is not a prime")
-        return (Place(field, FINITE, below=below),)
+        return (Place(field, below),)
 
     if field.kind == QUADRATIC:
         if below == INFINITY:
             if field.d > 0:
-                return tuple(Place(field, REAL, below=INFINITY, index=i) for i in (0, 1))
-            return (Place(field, COMPLEX, below=INFINITY),)
+                return tuple(Place(field, INFINITY, index=i) for i in (0, 1))
+            return (Place(field, INFINITY),)
         p = below
         if not is_prime(p):
             raise UnsupportedField(f"{below} is not a prime")
@@ -311,36 +304,33 @@ def _places_above(field: GlobalFieldDesc, below) -> Tuple[Place, ...]:
                 s = _sqrt_mod_p(D, p)
                 inv2 = pow(2, -1, p)
                 roots = sorted({(t + s) * inv2 % p, (t - s) * inv2 % p})
-            return tuple(Place(field, FINITE, below=p, splitting=SPLIT, index=i, root=r)
-                         for i, r in enumerate(roots))
+            return tuple(Place(field, p, SPLIT, i, r) for i, r in enumerate(roots))
         if sym == -1:
-            return (Place(field, FINITE, below=p, splitting=INERT, f=2),)
+            return (Place(field, p, INERT),)
         root = (t * pow(2, -1, p)) % p if p != 2 else (1 if field.d % 4 == 3 else 0)
-        return (Place(field, FINITE, below=p, splitting=RAMIFIED, e=2, root=root),)
+        return (Place(field, p, RAMIFIED, root=root),)
 
     hyper = field.kind == HYPERELLIPTIC
     if below == INFINITY:
         if not hyper:
-            return (Place(field, FF_INFINITE, below=INFINITY),)
+            return (Place(field, INFINITY),)
         if ffpoly.pdeg(field.fpoly) % 2 == 1:
-            return (Place(field, FF_INFINITE, below=INFINITY, splitting=RAMIFIED, e=2),)
+            return (Place(field, INFINITY, RAMIFIED),)
         # f monic of even degree: the leading coefficient 1 is a square
-        return tuple(Place(field, FF_INFINITE, below=INFINITY, splitting=SPLIT, index=i)
-                     for i in (0, 1))
+        return tuple(Place(field, INFINITY, SPLIT, i) for i in (0, 1))
     F = gf(field.q)
     pi = ffpoly.ptrim(below)
     if not ffpoly.is_irreducible(F, pi) or pi[-1] != 1:
         raise UnsupportedField(f"{below} is not monic irreducible over F_{field.q}")
     if not hyper:
-        return (Place(field, FF_FINITE, below=pi),)
+        return (Place(field, pi),)
     # y^2 = f(t)
     sym = ffpoly.euler_symbol(F, field.fpoly, pi)
     if sym == 0:
-        return (Place(field, FF_FINITE, below=pi, splitting=RAMIFIED, e=2),)
+        return (Place(field, pi, RAMIFIED),)
     if sym == 1:
-        return tuple(Place(field, FF_FINITE, below=pi, splitting=SPLIT, index=i)
-                     for i in (0, 1))
-    return (Place(field, FF_FINITE, below=pi, splitting=INERT, f=2),)
+        return tuple(Place(field, pi, SPLIT, i) for i in (0, 1))
+    return (Place(field, pi, INERT),)
 
 
 def archimedean_places(field: GlobalFieldDesc) -> List[Place]:

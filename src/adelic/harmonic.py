@@ -38,10 +38,8 @@ from .localfields import (
     LocalElement,
     LocalFieldDesc,
     UnitAngle,
-    _cneg,
-    _digits_coords,
-    _expand_digits,
     local_measure,
+    negate_digits,
     standard_character,
 )
 from .values import PosRealExact, exact_rational
@@ -508,7 +506,7 @@ def fourier(f: StepFunction) -> StepFunction:
 @lru_cache(maxsize=200_000)
 def negate_coset(field: LocalFieldDesc, start: int, vec: DigitVec) -> DigitVec:
     """Digit vector of the negative of a coset representative."""
-    return _expand_digits(field, _cneg(_digits_coords(field, start, vec)), start, len(vec))
+    return negate_digits(field, start, vec)
 
 
 @dataclass

@@ -19,7 +19,7 @@ where Lambda is the p-adic fractional part sum_{i<0} a_i p^i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Dict, Tuple, Union
@@ -177,7 +177,9 @@ def _sres(s: Scalar, p: int) -> int:
 
 @dataclass(frozen=True)
 class LocalFieldDesc:
-    """A local field by invariants, with enough data for exact arithmetic.
+    """A local field by its defining data: p, the base kind and the
+    polynomial, which alone decide equality and the hash.  The factory
+    derives the rest from them.
 
     ``disc_exponent`` is the base valuation of the discriminant of the
     defining polynomial, normalized so mu(O_v) = p^(-disc_exponent/2).  For
@@ -186,14 +188,14 @@ class LocalFieldDesc:
 
     p: int
     base_kind: str
-    rel_degree: int
+    rel_degree: int = dc_field(compare=False)
     poly: Tuple[Scalar, Scalar] | None  # (b, c) of x^2 + b x + c
-    e: int
-    f: int
-    disc_exponent: int
     # derived, fixed by the factory:
-    uniformizer_coords: Tuple[Scalar, Scalar]
-    ram_root: int  # residue of theta for ramified quadratics, 0 otherwise
+    e: int = dc_field(compare=False)
+    f: int = dc_field(compare=False)
+    disc_exponent: int = dc_field(compare=False)
+    uniformizer_coords: Tuple[Scalar, Scalar] = dc_field(compare=False)
+    ram_root: int = dc_field(compare=False)  # residue of theta if ramified, else 0
 
     @property
     def residue_card(self) -> int:
@@ -433,6 +435,12 @@ def _expand_digits(field: LocalFieldDesc, coords: Coords, start: int, count: int
         digits.append(d)
         shifted = _cmul(field, _cadd(shifted, _cneg(_clift(field, d))), pinv)
     return tuple(digits)
+
+
+def negate_digits(field: LocalFieldDesc, start: int, digits) -> Tuple:
+    """Digits at positions start..start+len(digits)-1 of -x, where x is
+    sum_j lift(digits[j]) * pi^(start + j)."""
+    return _expand_digits(field, _cneg(_digits_coords(field, start, digits)), start, len(digits))
 
 
 # ---------------------------------------------------------------------------

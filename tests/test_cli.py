@@ -250,6 +250,9 @@ def test_suite_fast(capsys):
     ("chi", "--config", "/nonexistent/run.cfg"),
     ("chi", "--field", "@/nonexistent/field.txt"),
     ("chi", "--idele", "x5:1"),
+    # options a command does not read
+    ("describe", "--tol", "1e-3"),
+    ("chi", "--max-radius", "5"),
 ])
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)

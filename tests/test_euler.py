@@ -298,6 +298,42 @@ def test_poisson_direct_sums_match_jacobi():
     assert abs(math.exp(float(rep.rhs)) - lhs) < 1e-10
 
 
+# Serre and Poisson at the suite's tolerances on the 2-adic classes that the
+# suite's number field roster misses: it has no field where 2 splits
+# (d = 1 mod 8) and none where 2 ramifies with different exponent 3
+# (d = 2 mod 4).
+SERRE_PARAMS, SERRE_CHECK = ThetaParams(tolerance=1e-10), 1e-8
+POISSON_PARAMS, POISSON_CHECK = ThetaParams(tolerance=1e-12), 1e-10
+
+
+def serre_and_poisson_failures(field, ideles):
+    reports = []
+    for al in ideles:
+        reports.append(verify_serre(field, al, SERRE_PARAMS, check_tol=SERRE_CHECK))
+        reports.append(verify_poisson(field, al, POISSON_PARAMS, check_tol=POISSON_CHECK))
+    return [rep.to_json() for rep in reports if not rep.passed]
+
+
+@pytest.mark.parametrize("d", [2, -2, 6, 3])
+def test_serre_and_poisson_where_2_ramifies(d):
+    # d = 2 mod 4: different exponent 3 at 2; d = 3 mod 4: exponent 2
+    F = GlobalFieldDesc.quadratic(d)
+    rng = random.Random(1)
+    failed = serre_and_poisson_failures(
+        F, [random_idele_bounded(F, rng, bound=5.0) for _ in range(10)])
+    assert not failed, failed[:2]
+
+
+@pytest.mark.parametrize("d", [-7, 17, -15])
+def test_serre_and_poisson_where_2_splits(d):
+    # d = 1 mod 8: the sections lattice lifts the root of each place mod 2^j
+    F = GlobalFieldDesc.quadratic(d)
+    P, P2 = places_above(F, 2)
+    failed = serre_and_poisson_failures(
+        F, [Idele.make(F, {P: i, P2: j}) for i in range(-3, 4) for j in range(-3, 4)])
+    assert not failed, failed[:2]
+
+
 def test_report_json_schema():
     rep = verify_serre(Qi, Idele.trivial(Qi))
     obj = rep.to_json()
@@ -384,7 +420,7 @@ def arch_weight(field, alpha, element):
     for pl, w in zip(places_above(field, INFINITY), omega_embeddings(field)):
         av = arch.get(pl, 1.0)
         z = complex(a0 + b0 * w.real, b0 * w.imag)
-        if pl.kind == "real":
+        if pl.e_v == 1:
             total += math.pi * (z.real / av) ** 2
         else:
             total += 2 * math.pi * (abs(z) / av) ** 2

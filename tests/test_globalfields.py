@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import time
@@ -5,13 +6,16 @@ from fractions import Fraction
 
 import pytest
 
+import adelic.globalfields
 from adelic.ffpoly import monic_irreducibles
 from adelic.globalfields import (
     INFINITY,
     Divisor,
     GlobalFieldDesc,
+    GlobalFieldError,
     Idele,
     NotAnExtension,
+    Place,
     UnsupportedField,
     absolute_discriminant,
     archimedean_places,
@@ -35,6 +39,7 @@ Qi = GlobalFieldDesc.quadratic(-1)
 Q5 = GlobalFieldDesc.quadratic(5)
 F3 = GlobalFieldDesc.rational_function_field(3)
 H = GlobalFieldDesc.hyperelliptic(3, (0, 2, 0, 1))  # y^2 = t^3 - t
+HE = GlobalFieldDesc.hyperelliptic(3, (1, 2, 0, 0, 1))  # y^2 = t^4 + 2t + 1
 
 
 # -- field descriptors ------------------------------------------------------------
@@ -77,6 +82,53 @@ def test_places_above_examples():
     assert ram2.splitting == "ramified" and ram2.residue_card == 2
     ramt, = places_above(H, (0, 1))   # t divides t^3 - t
     assert ramt.splitting == "ramified"
+
+
+# (field, below, [(label, is_archimedean, e_v, e, f) per place above]);
+# e_v is None where it raises
+@pytest.mark.parametrize("field, below, expected", [
+    (Q, INFINITY, [("inf#0", True, 1, 1, 1)]),
+    (Q, 2, [("p2#0", False, None, 1, 1)]),
+    (Qi, INFINITY, [("inf#0", True, 2, 1, 1)]),
+    (Qi, 2, [("p2#0", False, None, 2, 1)]),
+    (Qi, 3, [("p3#0", False, None, 1, 2)]),
+    (Qi, 5, [("p5#0", False, None, 1, 1), ("p5#1", False, None, 1, 1)]),
+    (Q5, INFINITY, [("inf#0", True, 1, 1, 1), ("inf#1", True, 1, 1, 1)]),
+    (Q5, 2, [("p2#0", False, None, 1, 2)]),
+    (Q5, 5, [("p5#0", False, None, 2, 1)]),
+    (Q5, 11, [("p11#0", False, None, 1, 1), ("p11#1", False, None, 1, 1)]),
+    (F3, INFINITY, [("inf#0", False, None, 1, 1)]),
+    (F3, (1, 0, 1), [("p10#0", False, None, 1, 1)]),
+    (H, INFINITY, [("inf#0", False, None, 2, 1)]),
+    (H, (0, 1), [("p3#0", False, None, 2, 1)]),
+    (H, (1, 0, 1), [("p10#0", False, None, 1, 1), ("p10#1", False, None, 1, 1)]),
+    (HE, INFINITY, [("inf#0", False, None, 1, 1), ("inf#1", False, None, 1, 1)]),
+    (HE, (0, 1), [("p3#0", False, None, 1, 1), ("p3#1", False, None, 1, 1)]),
+    (HE, (1, 1), [("p4#0", False, None, 2, 1)]),
+    (HE, (1, 0, 1), [("p10#0", False, None, 1, 2)]),
+], ids=lambda v: v.describe() if isinstance(v, GlobalFieldDesc) else None)
+def test_place_invariants_follow_from_defining_data(field, below, expected):
+    # a place stores field, below, splitting, index and root; whether it is
+    # archimedean, e_v, e, f and its label are read from them, and every
+    # infinite place lies over INFINITY, Q's real place included
+    got = []
+    for pl in places_above(field, below):
+        assert pl.below == below
+        if pl.is_archimedean():
+            e_v = pl.e_v
+        else:
+            with pytest.raises(GlobalFieldError):
+                pl.e_v
+            e_v = None
+        got.append((pl.label(), pl.is_archimedean(), e_v, pl.e, pl.f))
+    assert got == expected
+
+
+def test_place_stores_only_its_defining_data():
+    assert [f.name for f in dataclasses.fields(Place)] == \
+        ["field", "below", "splitting", "index", "root"]
+    for name in ("FINITE", "REAL", "COMPLEX", "FF_FINITE", "FF_INFINITE"):
+        assert not hasattr(adelic.globalfields, name)
 
 
 def test_place_residue_data_matches_factorization():
@@ -149,8 +201,7 @@ def test_local_degrees_sum_to_global_degree():
 def test_hyperelliptic_infinite_place_parity():
     odd = places_above(H, INFINITY)
     assert len(odd) == 1 and odd[0].splitting == "ramified"
-    even = GlobalFieldDesc.hyperelliptic(3, (1, 2, 0, 0, 1))
-    assert len(places_above(even, INFINITY)) == 2
+    assert len(places_above(HE, INFINITY)) == 2
 
 
 def test_ramified_places_divide_discriminant():

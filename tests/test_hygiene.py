@@ -106,9 +106,6 @@ def test_no_local_assigned_and_never_read(path):
 ALLOWED_PRIVATE_IMPORTS = {
     ("globalfields", "localfields", "_sres"),
     ("globalfields", "localfields", "_sval"),
-    ("harmonic", "localfields", "_cneg"),
-    ("harmonic", "localfields", "_digits_coords"),
-    ("harmonic", "localfields", "_expand_digits"),
 }
 
 

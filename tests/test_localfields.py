@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -279,6 +280,18 @@ def test_descriptor_invariants():
                 assert (K.disc_exponent == 0) == (K.e == 1)
                 pi = LocalElement.uniformizer(K)
                 assert valuation(pi) == 1
+
+
+def test_descriptor_equality_is_p_base_and_polynomial():
+    # two descriptors built separately from one polynomial are equal and hash
+    # alike; the factory's derived data takes no part in either
+    for p, kind, b, c in ((3, P_ADIC, 0, -3), (2, P_ADIC, 1, 1), (3, LAURENT, 0, {1: -1})):
+        K1 = quadratic_extension(base_field(p, kind), b, c)
+        K2 = quadratic_extension(base_field(p, kind), b, c)
+        assert K1 is not K2 and K1 == K2 and hash(K1) == hash(K2)
+        assert dataclasses.replace(K1, ram_root=1, uniformizer_coords=None) == K1
+    assert quadratic_extension(Qp(3), 0, -3) != quadratic_extension(Qp(3), 0, -6)
+    assert quadratic_extension(Qp(3), 0, -3) != base_field(3)
 
 
 # -- digits ----------------------------------------------------------------------
