@@ -17,8 +17,23 @@ a literal.  Idele literals are comma-separated place:value entries, e.g.
                                 are valuations, archimedean values are
                                 positive reals)
 
-or the word "trivial".  Exit status: 0 = success/pass, 1 = a verification
-failed (witness in the report), 2 = usage or input error.
+or the word "trivial".  Each command accepts only the options it reads; all
+but transform also take --output text|json and --config FILE:
+
+    describe                 --field
+    chi                      --field --idele --seed
+    h0, h1                   --field --idele --tol --max-radius --seed
+    chi-rel                  --field --idele --base --seed
+    verify lemmas            --p --range --seed
+    verify inversion         --p --count --seed
+    verify rr                --field --idele --count --seed
+    verify rr-rel            --field --idele --count --base --seed
+    verify serre | poisson   --field --idele --count --tol --max-radius --seed
+    suite                    --fast --seed
+    transform                --p --base-kind --quad-index --m
+
+Exit status: 0 = success/pass, 1 = a verification failed (witness in the
+report), 2 = usage or input error.
 """
 
 from __future__ import annotations
@@ -274,90 +289,90 @@ def _theta_params(args) -> ThetaParams:
     return ThetaParams(tolerance=args.tol, max_radius=args.max_radius)
 
 
-def cmd_value(args) -> int:
-    F = parse_field(args.field)
-    al = parse_idele(F, args.idele or "trivial")
-    if args.command == "chi":
-        v = chi(F, al)
-        tol = None
-    elif args.command == "h0":
-        v = h0(F, al, _theta_params(args))
-        tol = args.tol
-    elif args.command == "h1":
-        v = h1(F, al, _theta_params(args))
-        tol = args.tol
-    else:  # chi-rel
-        K = parse_field(args.base)
-        v = chi_relative(F, K, al)
-        tol = None
-    emit({"check": args.command, "field": F.describe(), "idele": al.describe(),
-          "seed": args.seed, "result": logvalue_obj(v, tol)}, args)
-    return 0
+def _value_command(value):
+    """A command printing value(args, F, al) = (LogValue, tolerance or None)."""
+    def run(args) -> int:
+        F = parse_field(args.field)
+        al = parse_idele(F, args.idele or "trivial")
+        v, tol = value(args, F, al)
+        emit({"check": args.command, "field": F.describe(), "idele": al.describe(),
+              "seed": args.seed, "result": logvalue_obj(v, tol)}, args)
+        return 0
+    return run
 
 
-def _report_seed(rep, args) -> dict:
-    obj = rep.to_json()
-    obj["seed"] = args.seed
-    return obj
+cmd_chi = _value_command(lambda args, F, al: (chi(F, al), None))
+cmd_h0 = _value_command(lambda args, F, al: (h0(F, al, _theta_params(args)), args.tol))
+cmd_h1 = _value_command(lambda args, F, al: (h1(F, al, _theta_params(args)), args.tol))
+cmd_chi_rel = _value_command(
+    lambda args, F, al: (chi_relative(F, parse_field(args.base), al), None))
 
 
-def cmd_verify(args) -> int:
-    if args.what in ("lemmas", "inversion"):
-        if args.p is not None and not is_prime(args.p):
-            raise CLIError(f"--p {args.p} is not a prime")
-        ps = (args.p,) if args.p else (2, 3, 5)
-        if args.what == "lemmas":
-            res = check_lemmas(ps=ps, m_range=(args.range_.start,
-                                               args.range_.stop - 1))
-        else:
-            res = check_inversion(seed=args.seed, per_field=args.count, ps=ps)
-        emit(_report_seed(res, args), args)
-        return 0 if res.passed else 1
+def _emit_seeded(objs, args) -> None:
+    for obj in objs:
+        obj["seed"] = args.seed
+        emit(obj, args)
 
-    F = parse_field(args.field)
-    params = _theta_params(args)
-    rng = random.Random(args.seed)
 
-    def ideles():
-        if args.idele is not None:
-            yield parse_idele(F, args.idele)
-            return
-        for _ in range(args.count):
-            if args.what == "serre":
-                yield random_idele_bounded(F, rng, bound=5.0)
-            else:
-                yield random_idele(F, rng)
-
-    reports = []
-    for al in ideles():
-        if args.what == "rr":
-            reports.append(verify_rr(F, al))
-        elif args.what == "rr-rel":
-            K = parse_field(args.base)
-            reports.extend(verify_rr_relative(F, K, al))
-        elif args.what == "serre":
-            reports.append(verify_serre(F, al, params))
-        elif args.what == "poisson":
-            reports.append(verify_poisson(F, al, params))
-        else:
-            raise CLIError(f"unknown verification {args.what!r}")
-    for rep in reports:
-        emit(_report_seed(rep, args), args)
-    if not reports:
-        emit({"check": args.what, "pass": False, "detail": "ran zero cases",
-              "seed": args.seed}, args)
+def _emit_reports(reports, args) -> int:
+    _emit_seeded([r.to_json() for r in reports] or [
+        {"check": args.what, "pass": False, "detail": "ran zero cases"}], args)
     return 0 if reports and all(r.passed for r in reports) else 1
+
+
+def _primes(args) -> tuple:
+    if args.p is not None and not is_prime(args.p):
+        raise CLIError(f"--p {args.p} is not a prime")
+    return (args.p,) if args.p else (2, 3, 5)
+
+
+def cmd_lemmas(args) -> int:
+    r = args.range_
+    return _emit_reports([check_lemmas(ps=_primes(args), m_range=(r.start, r.stop - 1))], args)
+
+
+def cmd_inversion(args) -> int:
+    return _emit_reports([check_inversion(seed=args.seed, per_field=args.count,
+                                          ps=_primes(args))], args)
+
+
+def _verify_ideles(args, F, check, draw=random_idele) -> int:
+    """Emit check(al)'s reports on --idele, or on --count ideles drawn by draw."""
+    if args.idele is not None:
+        ideles = [parse_idele(F, args.idele)]
+    else:
+        rng = random.Random(args.seed)
+        ideles = [draw(F, rng) for _ in range(args.count)]
+    return _emit_reports([rep for al in ideles for rep in check(al)], args)
+
+
+def cmd_rr(args) -> int:
+    F = parse_field(args.field)
+    return _verify_ideles(args, F, lambda al: [verify_rr(F, al)])
+
+
+def cmd_rr_rel(args) -> int:
+    F, K = parse_field(args.field), parse_field(args.base)
+    return _verify_ideles(args, F, lambda al: verify_rr_relative(F, K, al))
+
+
+def cmd_serre(args) -> int:
+    F, params = parse_field(args.field), _theta_params(args)
+    return _verify_ideles(args, F, lambda al: [verify_serre(F, al, params)],
+                          random_idele_bounded)
+
+
+def cmd_poisson(args) -> int:
+    F, params = parse_field(args.field), _theta_params(args)
+    return _verify_ideles(args, F, lambda al: [verify_poisson(F, al, params)])
 
 
 def cmd_suite(args) -> int:
     results = run_battery(seed=args.seed, fast=args.fast)
-    for res in results:
-        obj = res.to_json()
-        obj["seed"] = args.seed
-        emit(obj, args)
     passed = sum(r.passed for r in results)
-    emit({"check": "summary", "pass": passed == len(results),
-          "passed": passed, "total": len(results), "seed": args.seed}, args)
+    _emit_seeded([r.to_json() for r in results] + [
+        {"check": "summary", "pass": passed == len(results), "passed": passed,
+         "total": len(results)}], args)
     return 0 if passed == len(results) else 1
 
 
@@ -387,19 +402,54 @@ def cmd_transform(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _load_config(path: str) -> Dict[str, str]:
+def _load_config(path: str) -> List[str]:
+    """The entries of a file of flag=value lines, as argv tokens."""
     try:
-        out = {}
         with open(path) as fh:
-            for ln in fh:
-                ln = ln.strip()
-                if not ln or ln.startswith("#") or "=" not in ln:
-                    continue
-                k, v = ln.split("=", 1)
-                out[k.strip()] = v.strip()
-        return out
+            lines = [ln.strip() for ln in fh]
     except OSError as exc:
         raise CLIError(f"cannot read config {path}: {exc}")
+    pairs = [ln.split("=", 1) for ln in lines if "=" in ln and not ln.startswith("#")]
+    return [tok for k, v in pairs for tok in (f"--{k.strip()}", v.strip())]
+
+
+OPTIONS = {
+    "--field": dict(default="Q", help="field literal or descriptor file"),
+    "--idele": dict(default=None, help='idele literal, e.g. "p5#0:-1,inf#0:2.5"'),
+    "--base": dict(default="Q", help="base field literal"),
+    "--tol": dict(type=lambda t: _positive_float(t, "--tol"),
+                  default=DEFAULT_PARAMS.tolerance,
+                  help=f"theta tolerance (default {DEFAULT_PARAMS.tolerance:g})"),
+    "--max-radius": dict(type=lambda t: _positive_float(t, "--max-radius"),
+                         default=DEFAULT_PARAMS.max_radius),
+    "--count": dict(type=int, default=20, help="random cases when no --idele given"),
+    "--p": dict(type=int, default=None, help="prime (default: 2, 3 and 5)"),
+    "--range": dict(dest="range_", type=parse_range, default=range(-3, 4),
+                    help="m range, e.g. -3..3"),
+    "--fast": dict(action="store_true", help="smaller randomized sample sizes"),
+    "--seed": dict(type=int, default=0),
+    "--output": dict(choices=("text", "json"), default="text"),
+    "--config": dict(default=None, help="file with flag=value lines (flags override)"),
+}
+
+# command path -> (runner, summary, the options it reads besides --output)
+COMMANDS = {
+    ("describe",): (cmd_describe, "print field invariants", "--field"),
+    ("chi",): (cmd_chi, "compute chi", "--field --idele --seed"),
+    ("h0",): (cmd_h0, "compute h0", "--field --idele --tol --max-radius --seed"),
+    ("h1",): (cmd_h1, "compute h1", "--field --idele --tol --max-radius --seed"),
+    ("chi-rel",): (cmd_chi_rel, "compute chi-rel", "--field --idele --base --seed"),
+    ("verify", "lemmas"): (cmd_lemmas, "local lemmas", "--p --range --seed"),
+    ("verify", "inversion"): (cmd_inversion, "Fourier inversion", "--p --count --seed"),
+    ("verify", "rr"): (cmd_rr, "Riemann-Roch", "--field --idele --count --seed"),
+    ("verify", "rr-rel"): (cmd_rr_rel, "relative Riemann-Roch",
+                           "--field --idele --count --base --seed"),
+    ("verify", "serre"): (cmd_serre, "Serre duality",
+                          "--field --idele --count --tol --max-radius --seed"),
+    ("verify", "poisson"): (cmd_poisson, "Poisson summation",
+                            "--field --idele --count --tol --max-radius --seed"),
+    ("suite",): (cmd_suite, "run the full verification battery", "--fast --seed"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -407,50 +457,13 @@ def build_parser() -> argparse.ArgumentParser:
         prog="adelic",
         description="Euler characteristics of Arakelov divisors via adelic integrals")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def command(name, func, summary, field=True, idele=True, theta=False, seed=True):
-        p = sub.add_parser(name, help=summary)
+    verify = sub.add_parser("verify", help="run a verification")
+    kinds = verify.add_subparsers(dest="what", required=True)
+    for path, (func, summary, opts) in COMMANDS.items():
+        p = (kinds if len(path) == 2 else sub).add_parser(path[-1], help=summary)
         p.set_defaults(func=func)
-        if field:
-            p.add_argument("--field", required=False, default="Q",
-                           help="field literal or descriptor file")
-        if idele:
-            p.add_argument("--idele", default=None,
-                           help='idele literal, e.g. "p5#0:-1,inf#0:2.5"')
-        if theta:
-            p.add_argument("--tol", type=lambda t: _positive_float(t, "--tol"),
-                           default=DEFAULT_PARAMS.tolerance,
-                           help=f"theta tolerance (default {DEFAULT_PARAMS.tolerance:g})")
-            p.add_argument("--max-radius", default=DEFAULT_PARAMS.max_radius,
-                           type=lambda t: _positive_float(t, "--max-radius"))
-        p.add_argument("--output", choices=("text", "json"), default="text")
-        if seed:
-            p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--config", default=None,
-                       help="file with flag=value lines (flags override)")
-        return p
-
-    command("describe", cmd_describe, "print field invariants", idele=False, seed=False)
-    for name in ("chi", "h0", "h1", "chi-rel"):
-        p = command(name, cmd_value, f"compute {name}", theta=name in ("h0", "h1"))
-        if name == "chi-rel":
-            p.add_argument("--base", default="Q", help="base field literal")
-
-    p = command("verify", cmd_verify, "run a verification", theta=True)
-    p.add_argument("what", choices=("rr", "rr-rel", "serre", "poisson",
-                                    "lemmas", "inversion"))
-    p.add_argument("--base", default="Q")
-    p.add_argument("--count", type=int, default=20,
-                   help="random ideles / functions when no --idele given")
-    p.add_argument("--p", type=int, default=None,
-                   help="prime for lemmas/inversion (default: 2, 3 and 5)")
-    p.add_argument("--range", dest="range_", type=parse_range,
-                   default=range(-3, 4), help="m range for lemmas, e.g. -3..3")
-
-    p = command("suite", cmd_suite, "run the full verification battery",
-                field=False, idele=False)
-    p.add_argument("--fast", action="store_true",
-                   help="smaller randomized sample sizes")
+        for opt in opts.split() + ["--output", "--config"]:
+            p.add_argument(opt, **OPTIONS[opt])
 
     p = sub.add_parser("transform", help="dump a Fourier transform table as JSON")
     p.set_defaults(func=cmd_transform)
@@ -459,53 +472,39 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--quad-index", type=int, default=None,
                    help="index into the validated quadratic extensions")
     p.add_argument("--m", type=int, default=0)
-
     return top
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # a config file mirrors flags; inject its entries before the explicit
-    # flags so the command line wins on conflicts
-    if "--config" in argv:
-        i = argv.index("--config")
-        if i + 1 >= len(argv):
-            print("error: --config needs a path", file=sys.stderr)
-            return 2
-        try:
-            cfg = _load_config(argv[i + 1])
-        except CLIError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        extra: List[str] = []
-        for k, v in cfg.items():
-            extra.extend([f"--{k}", v])
-        argv = argv[:1] + extra + argv[1:]
-    # argparse takes a value such as "-1e-3" or "-3..3" for an option, so
-    # bind every value that starts with "-" and a digit or "." to its flag
-    bound: List[str] = []
-    for tok in argv:
-        if bound and bound[-1].startswith("--") and "=" not in bound[-1] \
-                and len(tok) > 1 and tok[0] == "-" and (tok[1].isdigit() or tok[1] == "."):
-            bound[-1] = f"{bound[-1]}={tok}"
-        else:
-            bound.append(tok)
-    parser = build_parser()
+    argv = [t for tok in (sys.argv[1:] if argv is None else argv)  # --config=FILE too
+            for t in (tok.split("=", 1) if tok.startswith("--config=") else [tok])]
     try:
-        args = parser.parse_args(bound)
+        # config entries go after the command path (the words before the
+        # first flag) and before the explicit flags, which win on conflicts
+        if "--config" in argv:
+            i = argv.index("--config")
+            if i + 1 >= len(argv):
+                raise CLIError("--config needs a path")
+            cut = next(j for j, tok in enumerate(argv) if tok.startswith("-"))
+            argv = argv[:cut] + _load_config(argv[i + 1]) + argv[cut:]
+        # argparse takes a value such as "-1e-3" or "-3..3" for an option, so
+        # bind every value that starts with "-" and a digit or "." to its flag
+        bound: List[str] = []
+        for tok in argv:
+            if bound and bound[-1].startswith("--") and "=" not in bound[-1] \
+                    and len(tok) > 1 and tok[0] == "-" and (tok[1].isdigit() or tok[1] == "."):
+                bound[-1] = f"{bound[-1]}={tok}"
+            else:
+                bound.append(tok)
+        args = build_parser().parse_args(bound)
         return args.func(args)
-    except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except (UnsupportedField, NotAnExtension) as exc:
         print(f"unsupported field: {exc}", file=sys.stderr)
-        return 2
     except RadiusExceeded as exc:
         print(f"radius exceeded: {exc}", file=sys.stderr)
-        return 2
-    except (GlobalFieldError, LocalFieldError, PrimalityUnproven) as exc:
+    except (CLIError, GlobalFieldError, LocalFieldError, PrimalityUnproven) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 2
 
 
 if __name__ == "__main__":

@@ -448,8 +448,8 @@ class Idele:
         for pl, a in arch.items():
             if pl.field != field or not pl.is_archimedean():
                 raise GlobalFieldError(f"bad archimedean component at {pl}")
-            if a <= 0:
-                raise GlobalFieldError("archimedean components must be positive")
+            if not (math.isfinite(a) and a > 0):
+                raise GlobalFieldError("archimedean components must be finite and positive")
         return Idele(field,
                      tuple(sorted(finite.items(), key=lambda kv: kv[0].label())),
                      tuple(sorted(arch.items(), key=lambda kv: kv[0].label())))

@@ -395,11 +395,12 @@ def character_coset_integral(field: LocalFieldDesc, m: int) -> CycScalar:
     integral is mu(pi^top O_v) times the product over positions s in
     [m, top) of the one-digit character sums.  For m >= -d that is #k
     mu(pi^(m+1) O_v) = (#k)^(-m) mu(O_v); below it the sum at s = -d - 1
-    cancels to exact zero.
+    cancels to exact zero.  The product runs from s = top - 1 down, so that
+    zero comes second and the partial products stay small.
     """
     top = max(m, -field.different_exponent) + 1
     total = CycScalar.from_posreal(field.p, coset_measure(field, top))
-    for s in range(m, top):
+    for s in range(top - 1, m - 1, -1):
         total = total * CycScalar(field.p, Counter(
             _digit_angle(field, dg, s) for dg in field.residue_reps()))
     return total

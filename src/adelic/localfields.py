@@ -406,11 +406,14 @@ def _pi_inverse(field: LocalFieldDesc) -> Coords:
 
 @lru_cache(maxsize=None)
 def _pi_power(field: LocalFieldDesc, k: int) -> Coords:
-    if k == 0:
-        return (_scalar(field, 1), _szero(field))
-    if k > 0:
-        return _cmul(field, _pi_power(field, k - 1), field.uniformizer_coords)
-    return _cmul(field, _pi_power(field, k + 1), _pi_inverse(field))
+    """pi^k by square-and-multiply over the bits of |k|."""
+    base = field.uniformizer_coords if k >= 0 else _pi_inverse(field)
+    power = (_scalar(field, 1), _szero(field))
+    for bit in bin(abs(k))[2:]:
+        power = _cmul(field, power, power)
+        if bit == "1":
+            power = _cmul(field, power, base)
+    return power
 
 
 def _digits_coords(field: LocalFieldDesc, start: int, digits) -> Coords:

@@ -143,27 +143,19 @@ def ideal_for_idele(alpha: Idele) -> FractionalIdeal:
 
 def embedding_matrix(field: GlobalFieldDesc, ideal: FractionalIdeal,
                      arch: Dict[Place, float]) -> np.ndarray:
-    """Rows: scaled real embeddings; Q(x) = pi * ||E x||^2."""
-    cols = ideal.basis_columns()
-    arch_places = places_above(field, INFINITY)
-    if field.d > 0:
-        ws = omega_embeddings(field)
-        E = np.zeros((2, 2))
-        for i, (pl, w) in enumerate(zip(arch_places, ws)):
-            al = arch.get(pl, 1.0)
-            for j, (x, y) in enumerate(cols):
-                E[i, j] = (float(x) + float(y) * w.real) / al
-        return E
-    w = omega_embeddings(field)[0]
-    pl, = arch_places
-    al = arch.get(pl, 1.0)
-    E = np.zeros((2, 2))
+    """Rows z / alpha at a real place, sqrt 2 Re z / alpha and sqrt 2 Im z / alpha
+    at a complex one, z the image of a basis column; Q(x) = pi * ||E x||^2."""
+    cols = [(float(x), float(y)) for x, y in ideal.basis_columns()]
+    rows = []
     root2 = math.sqrt(2.0)
-    for j, (x, y) in enumerate(cols):
-        z = complex(float(x) + float(y) * w.real, float(y) * w.imag)
-        E[0, j] = root2 * z.real / al
-        E[1, j] = root2 * z.imag / al
-    return E
+    for pl, w in zip(places_above(field, INFINITY), omega_embeddings(field)):
+        al = arch.get(pl, 1.0)
+        zs = [complex(x + y * w.real, y * w.imag) for x, y in cols]
+        if pl.e_v == 1:
+            rows.append([z.real / al for z in zs])
+        else:
+            rows += [[root2 * z.real / al for z in zs], [root2 * z.imag / al for z in zs]]
+    return np.array(rows)
 
 
 def _geom_tail(lam: float, B: int) -> float:

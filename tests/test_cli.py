@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import adelic
+from adelic import cli
 from adelic.cli import main, parse_field, parse_idele, CLIError
 from adelic.globalfields import GlobalFieldDesc, idele_log_norm
 
@@ -198,6 +200,24 @@ def test_config_file(tmp_path, capsys):
     code, out, _ = run(capsys, "chi", "--config", str(cfg))
     assert code == 0
     assert json_lines(out)[0]["field"] == "Q(i)"
+    code, out, _ = run(capsys, "chi", f"--config={cfg}")  # the = form is read too
+    assert code == 0
+    assert json_lines(out)[0]["field"] == "Q(i)"
+
+
+def test_config_entries_follow_the_verify_kind(tmp_path, capsys):
+    # a config entry acts as the flag would after the kind; an explicit flag
+    # wins, and an entry the kind does not read is a usage error
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("tol = 1e-3\n")
+    poisson = ("verify", "poisson", "--field", "Q", "--idele", "inf#0:2.0",
+               "--config", str(cfg), "--output", "json")
+    code, out, _ = run(capsys, *poisson)
+    assert code == 1 and json_lines(out)[0]["pass"] is False
+    code, out, _ = run(capsys, *poisson, "--tol", "1e-10")
+    assert code == 0 and json_lines(out)[0]["pass"] is True
+    code, _, err = run(capsys, "verify", "lemmas", "--config", str(cfg))
+    assert code == 2 and len(err.strip().splitlines()) == 1
 
 
 def test_suite_fast(capsys):
@@ -248,11 +268,18 @@ def test_suite_fast(capsys):
     # file inputs that cannot be read, and a place kind that does not exist
     ("chi", "--config"),
     ("chi", "--config", "/nonexistent/run.cfg"),
+    ("chi", "--config=/nonexistent/run.cfg"),
     ("chi", "--field", "@/nonexistent/field.txt"),
     ("chi", "--idele", "x5:1"),
-    # options a command does not read
+    # options a command does not read, and a kind after its options
     ("describe", "--tol", "1e-3"),
     ("chi", "--max-radius", "5"),
+    ("verify", "lemmas", "--p", "3", "--field", "Z"),
+    ("verify", "inversion", "--idele", "bogus"),
+    ("verify", "rr", "--tol", "1e-3"),
+    ("verify", "serre", "--p", "3"),
+    ("verify", "rr-rel", "--count", "0", "--base", "Z"),
+    ("verify", "--field", "Q", "rr"),
 ])
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -315,6 +342,48 @@ def test_verify_that_ran_nothing_fails(capsys, argv):
     assert code == 1
     obj = json_lines(out)[-1]
     assert obj["pass"] is False and "zero cases" in obj["detail"]
+
+
+# -- every accepted option is read ---------------------------------------------------
+
+
+class ReadRecorder(argparse.Namespace):
+    """A namespace that records the names of the attributes read from it."""
+
+    def __init__(self):
+        super().__init__()
+        object.__setattr__(self, "_reads", set())
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            object.__getattribute__(self, "_reads").add(name)
+        return object.__getattribute__(self, name)
+
+
+# each command with the fewest arguments it runs on; poisson's default 20
+# ideles include one past the default radius
+MINIMAL_ARGVS = [("describe",), ("chi",), ("h0",), ("h1",), ("chi-rel",), ("suite",),
+                 ("transform", "--p", "2"), ("verify", "lemmas"),
+                 ("verify", "inversion", "--count", "1"), ("verify", "rr"),
+                 ("verify", "rr-rel"), ("verify", "serre"),
+                 ("verify", "poisson", "--count", "1")]
+
+
+def test_every_accepted_option_is_read(monkeypatch, capsys):
+    # an option that a command accepts but never reads would let bad input
+    # pass unnoticed; the battery itself is not what is under test here
+    monkeypatch.setattr(cli, "run_battery", lambda seed, fast: [])
+    unread = []
+    for argv in MINIMAL_ARGVS:
+        args = cli.build_parser().parse_args(argv, namespace=ReadRecorder())
+        object.__getattribute__(args, "_reads").clear()
+        assert args.func(args) == 0, argv
+        dests = {d for d in vars(args) if not d.startswith("_")}
+        unread += [(" ".join(argv[:2] if argv[0] == "verify" else argv[:1]), dest)
+                   for dest in sorted(dests - object.__getattribute__(args, "_reads")
+                                      - {"func", "command", "what", "config"})]
+    capsys.readouterr()
+    assert not unread, f"{len(unread)} accepted options never read: {unread}"
 
 
 # -- large place codes ---------------------------------------------------------------
@@ -395,11 +464,36 @@ def idele_literals(draw):
     return ",".join(parts) or draw(st.sampled_from(["trivial", ""]))
 
 
+FUZZ_OPTIONS = {
+    "--field": lambda draw: pick(draw, FUZZ_FIELDS),
+    "--base": lambda draw: pick(draw, FUZZ_FIELDS),
+    "--idele": lambda draw: draw(idele_literals()),
+    "--tol": lambda draw: pick(draw, (["1e-10", "1e-3"], ["0", "-1", "nan"])),
+    "--count": lambda draw: str(draw(st.integers(-1, 2))),
+    "--p": lambda draw: str(draw(st.integers(-1, 5))),
+    "--range": lambda draw: pick(draw, (["-1..1", "2..2"], ["1..-1", "abc"])),
+}
+# the fuzzed options each command reads; --count always, as its default of 20
+# is slow on inversion and theta kinds
+FUZZ_READS = {
+    "describe": ["--field"],
+    "chi": ["--field", "--idele"],
+    "h0": ["--field", "--idele", "--tol"],
+    "h1": ["--field", "--idele", "--tol"],
+    "chi-rel": ["--field", "--idele", "--base"],
+    "verify lemmas": ["--p", "--range"],
+    "verify inversion": ["--count", "--p"],
+    "verify rr": ["--count", "--field", "--idele"],
+    "verify rr-rel": ["--count", "--field", "--idele", "--base"],
+    "verify serre": ["--count", "--field", "--idele", "--tol"],
+    "verify poisson": ["--count", "--field", "--idele", "--tol"],
+}
+
+
 @st.composite
 def cli_argvs(draw):
-    cmd = pick(draw, (["describe", "chi", "h0", "h1", "chi-rel", "verify", "transform"],
-                      ["bogus", "suites"]))
-    argv = [cmd]
+    cmd = pick(draw, ([*FUZZ_READS, "transform"], ["bogus", "suites", "verify bogus"]))
+    argv = cmd.split()
     if cmd == "transform":
         argv += ["--p", str(draw(st.integers(-1, 7)))]
         if draw(st.booleans()):
@@ -408,21 +502,15 @@ def cli_argvs(draw):
             argv += ["--quad-index", str(draw(st.integers(-1, 4)))]
         argv += ["--m", str(draw(st.integers(-2, 2)))]
         return argv
-    if cmd == "verify":
-        argv.append(pick(draw, (["rr", "rr-rel", "serre", "poisson", "lemmas", "inversion"],
-                                ["bogus"])))
-        argv += ["--count", str(draw(st.integers(-1, 2)))]
-        if draw(st.booleans()):
-            argv += ["--p", str(draw(st.integers(-1, 5)))]
-    argv += ["--field", pick(draw, FUZZ_FIELDS)]
-    if cmd not in ("describe", "bogus", "suites") and draw(st.booleans()):
-        argv += ["--idele", draw(idele_literals())]
-    if cmd in ("chi-rel", "verify") and draw(st.booleans()):
-        argv += ["--base", pick(draw, FUZZ_FIELDS)]
+    reads = FUZZ_READS.get(cmd, ["--field"])
+    for opt in reads:
+        if opt in ("--count", "--field") or draw(st.booleans()):
+            argv += [opt, FUZZ_OPTIONS[opt](draw)]
     if draw(st.booleans()):
         argv += ["--output", pick(draw, (["text", "json"], ["xml"]))]
-    if draw(st.booleans()):
-        argv += ["--tol", pick(draw, (["1e-10", "1e-3"], ["0", "-1", "nan"]))]
+    if draw(st.integers(0, 4)) == 0:  # an option the command does not read
+        opt = draw(st.sampled_from(sorted(set(FUZZ_OPTIONS) - set(reads))))
+        argv += [opt, FUZZ_OPTIONS[opt](draw)]
     return argv
 
 

@@ -311,6 +311,11 @@ def test_idele_validation():
         Idele.make(Q, {}, {inf: -2.0})       # negative archimedean part
     with pytest.raises(Exception):
         Idele.make(Qi, {P5: 1})              # place of the wrong field
+    for a in (math.nan, math.inf):
+        with pytest.raises(GlobalFieldError):
+            Idele.make(Q, {}, {inf: a})      # non-finite archimedean part
+    with pytest.raises(GlobalFieldError):
+        Idele.make(Q, {}, {inf: 1e-320}).inv()  # 1 / 1e-320 overflows to inf
 
 
 # -- product formula -------------------------------------------------------------------
