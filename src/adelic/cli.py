@@ -227,6 +227,17 @@ def _positive_float(text: str, what: str) -> float:
     return x
 
 
+def _count(text: str) -> int:
+    """A non-negative integer number of cases."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise CLIError(f"--count must be an integer, got {text!r}")
+    if n < 0:
+        raise CLIError(f"--count must be non-negative, got {text!r}")
+    return n
+
+
 def parse_range(text: str) -> range:
     try:
         lo, hi = map(int, text.split(".."))
@@ -364,7 +375,8 @@ def cmd_serre(args) -> int:
 
 def cmd_poisson(args) -> int:
     F, params = parse_field(args.field), _theta_params(args)
-    return _verify_ideles(args, F, lambda al: [verify_poisson(F, al, params)])
+    return _verify_ideles(args, F, lambda al: [verify_poisson(F, al, params)],
+                          random_idele_bounded)
 
 
 def cmd_suite(args) -> int:
@@ -422,7 +434,7 @@ OPTIONS = {
                   help=f"theta tolerance (default {DEFAULT_PARAMS.tolerance:g})"),
     "--max-radius": dict(type=lambda t: _positive_float(t, "--max-radius"),
                          default=DEFAULT_PARAMS.max_radius),
-    "--count": dict(type=int, default=20, help="random cases when no --idele given"),
+    "--count": dict(type=_count, default=20, help="random cases when no --idele given"),
     "--p": dict(type=int, default=None, help="prime (default: 2, 3 and 5)"),
     "--range": dict(dest="range_", type=parse_range, default=range(-3, 4),
                     help="m range, e.g. -3..3"),

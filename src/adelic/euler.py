@@ -7,6 +7,16 @@ of the sum of f_alpha over global sections (a lattice theta sum for number
 fields, an exact dimension count times log q for F_q(t)), and h1 is
 derived from the fundamental quotient-integral relation as h0 - chi.
 
+On number fields h0 sums on the sparser side of the Poisson identity
+h0(alpha) = chi(alpha) + h0(alpha^-1 kappa) (Tate's thesis; van der
+Geer-Schoof 2000): when chi(alpha) > 0 the direct lattice is dense and
+the dual one sparse, so h0 is chi(alpha) plus the theta sum at
+alpha^-1 kappa; otherwise alpha is summed directly.  On a sample of
+ideles up to log-norm 12 the dual side never needed more than 49 points
+where the direct side needed up to 8.8 million.  Serre duality and
+Poisson summation are the identities this route rests on, so their
+checks sum both of their sides directly.
+
 The verification routines check, each by two independent routes:
 
 - absolute and relative Riemann-Roch (chi differences against divisor
@@ -131,7 +141,13 @@ def h0(field: GlobalFieldDesc, alpha: Idele,
        params: ThetaParams = DEFAULT_PARAMS) -> LogValue:
     """log of the sum of f_alpha over global sections.
 
-    Number fields: a certified lattice theta sum (float remainder).
+    Number fields: a certified lattice theta sum (float remainder), taken
+    on the sparser side of the Poisson identity
+    h0(alpha) = chi(alpha) + h0(alpha^-1 kappa).  When chi(alpha) > 0 the
+    sections lattice of alpha is dense (up to ~10^7 points in the box) and
+    that of alpha^-1 kappa, whose chi is -chi(alpha), is sparse (tens of
+    points), so h0 is chi(alpha) plus the dual sum; otherwise alpha is
+    summed directly.
     F_q(t): exact, max(0, deg D + 1) * log q.
     """
     return h0_with_count(field, alpha, params)[0]
@@ -140,6 +156,19 @@ def h0(field: GlobalFieldDesc, alpha: Idele,
 def h0_with_count(field: GlobalFieldDesc, alpha: Idele,
                   params: ThetaParams) -> tuple[LogValue, int]:
     """h0 and the number of lattice points summed for it (0 off the theta route)."""
+    if field.kind in (RATIONAL, QUADRATIC):
+        c = float(chi(field, alpha))  # raises on an idele of another field
+        if c > 0.0:
+            dual, n = _h0_direct(field, alpha.inv() * canonical_idele(field), params)
+            return LogValue.of_real(c + float(dual)), n
+    return _h0_direct(field, alpha, params)
+
+
+def _h0_direct(field: GlobalFieldDesc, alpha: Idele,
+               params: ThetaParams) -> tuple[LogValue, int]:
+    """h0_with_count summed on alpha as given, never on its Poisson dual:
+    the identity checks use it so that neither side is derived from the
+    other."""
     if alpha.field != field:
         raise UnsupportedField("idele belongs to a different field")
     if field.kind in (RATIONAL, QUADRATIC):
@@ -228,18 +257,21 @@ def verify_serre(field: GlobalFieldDesc, alpha: Idele,
     """h0(D_{alpha^-1 kappa}) = h1(D_alpha).
 
     The left side is a fresh section count at the dual idele; the right
-    side is h1(alpha).  Exact (integer multiples of log q) on function
-    fields; compared within check_tol on number fields.
+    side is h1(alpha) = h0(alpha) - chi(alpha).  Both h0 values are summed
+    directly (h0 itself may take the dual side, which would make the
+    identity hold by construction).  Exact (integer multiples of log q) on
+    function fields; compared within check_tol on number fields.
     """
     start = time.perf_counter()
-    lhs, points = h0_with_count(field, alpha.inv() * canonical_idele(field), params)
-    rhs = h1(field, alpha, params)
+    lhs, n1 = _h0_direct(field, alpha.inv() * canonical_idele(field), params)
+    h0_alpha, n2 = _h0_direct(field, alpha, params)
+    rhs = h0_alpha - chi(field, alpha)
     if field.kind == RATFUNC:
         passed = lhs.eq(rhs, tol=0.0)
     else:
         passed = abs(float(lhs) - float(rhs)) < check_tol
     return Report("serre", field.describe(), alpha.describe(), lhs, rhs,
-                  passed, check_tol, lattice_points_used=points,
+                  passed, check_tol, lattice_points_used=n1 + n2,
                   runtime_ms=(time.perf_counter() - start) * 1000.0)
 
 
@@ -251,18 +283,18 @@ def verify_poisson(field: GlobalFieldDesc, alpha: Idele,
         -1/2 log d_{L/K} - log|alpha| + h0(D_{alpha kappa}) = h0(D_{alpha^-1})
 
     with K the prime field.  Both h0 values are independent truncated
-    lattice sums; no chi is used.  The constant on the left is the log of
-    the relative measure of O_L (-1/2 log 5 for Q(sqrt 5) over Q, zero for
-    Q itself).
+    lattice sums, each taken directly on its idele; no chi is used.  The
+    constant on the left is the log of the relative measure of O_L
+    (-1/2 log 5 for Q(sqrt 5) over Q, zero for Q itself).
     """
     if field.kind not in (RATIONAL, QUADRATIC):
         raise UnsupportedField("poisson verification needs theta support")
     start = time.perf_counter()
     kappa = canonical_idele(field)
     const = relative_discriminant_norm(field, field.prime_field).log() * Fraction(-1, 2)
-    lhs_h0, n1 = h0_with_count(field, alpha * kappa, params)
+    lhs_h0, n1 = _h0_direct(field, alpha * kappa, params)
     lhs = const - idele_log_norm(alpha) + lhs_h0
-    rhs, n2 = h0_with_count(field, alpha.inv(), params)
+    rhs, n2 = _h0_direct(field, alpha.inv(), params)
     passed = abs(float(lhs) - float(rhs)) < check_tol
     return Report("poisson", field.describe(), alpha.describe(), lhs, rhs,
                   passed, check_tol, lattice_points_used=n1 + n2,

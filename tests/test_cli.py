@@ -129,6 +129,13 @@ def test_verify_poisson_loose_theta_fails(capsys):
     assert json_lines(out)[0]["pass"] is False
 
 
+def test_verify_poisson_defaults_pass(capsys):
+    # the default 20 ideles are drawn with a bounded log-norm, as for serre
+    code, out, err = run(capsys, "verify", "poisson", "--field", "Q(sqrt 5)")
+    assert code == 0, err
+    assert out.count("pass=True") == 20
+
+
 def test_describe_quadratic_cli(capsys):
     code, out, _ = run(capsys, "describe", "--field", "Q(sqrt -3)", "--output", "json")
     assert code == 0
@@ -280,6 +287,9 @@ def test_suite_fast(capsys):
     ("verify", "serre", "--p", "3"),
     ("verify", "rr-rel", "--count", "0", "--base", "Z"),
     ("verify", "--field", "Q", "rr"),
+    # a negative number of cases
+    ("verify", "rr", "--count", "-1"),
+    ("verify", "inversion", "--count", "-1"),
 ])
 def test_bad_numeric_input_exits_2_with_one_line(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -360,13 +370,12 @@ class ReadRecorder(argparse.Namespace):
         return object.__getattribute__(self, name)
 
 
-# each command with the fewest arguments it runs on; poisson's default 20
-# ideles include one past the default radius
+# each command with the fewest arguments it runs on; inversion runs one
+# function per field, as its default 20 take seconds
 MINIMAL_ARGVS = [("describe",), ("chi",), ("h0",), ("h1",), ("chi-rel",), ("suite",),
                  ("transform", "--p", "2"), ("verify", "lemmas"),
                  ("verify", "inversion", "--count", "1"), ("verify", "rr"),
-                 ("verify", "rr-rel"), ("verify", "serre"),
-                 ("verify", "poisson", "--count", "1")]
+                 ("verify", "rr-rel"), ("verify", "serre"), ("verify", "poisson")]
 
 
 def test_every_accepted_option_is_read(monkeypatch, capsys):

@@ -13,6 +13,7 @@ from adelic.euler import (
     chi,
     chi_relative,
     h0,
+    h0_with_count,
     h1,
     verify_poisson,
     verify_rr,
@@ -26,6 +27,7 @@ from adelic.globalfields import (
     Idele,
     NotAnExtension,
     UnsupportedField,
+    archimedean_places,
     divisor_of_idele,
     idele_log_norm,
     omega_embeddings,
@@ -38,6 +40,7 @@ from adelic.theta import (
     certified_box,
     embedding_matrix,
     ideal_for_idele,
+    theta_log_for_idele,
     theta_log_sum,
 )
 from adelic.values import LogValue
@@ -143,8 +146,52 @@ def test_h0_invariant_under_principal_scaling():
 def test_h0_unsupported_and_radius():
     with pytest.raises(UnsupportedField):
         h0(H, Idele.trivial(H))
+    # a dense idele is summed on its sparse Poisson dual, within any radius
+    v = float(h0(Q, arch_idele(Q, 1e5), ThetaParams(tolerance=1e-10, max_radius=64)))
+    assert abs(v - math.log(1e5)) < 1e-10
     with pytest.raises(RadiusExceeded):
-        h0(Q, arch_idele(Q, 1e5), ThetaParams(tolerance=1e-10, max_radius=64))
+        h0(Q, Idele.trivial(Q), ThetaParams(tolerance=1e-10, max_radius=1))
+
+
+def steered_idele(field, rng, target):
+    """A seeded finite part, with archimedean components jittered apart and
+    scaled so that the log-norm is ``target``."""
+    fin = random_idele(field, rng, max_val=2, max_places=2).finite
+    arches = archimedean_places(field)
+    total_e = sum(pl.e_v for pl in arches)
+    need = target - float(idele_log_norm(Idele.make(field, fin)))
+    jitter = [rng.uniform(-0.1, 0.1) for _ in arches]
+    mean = sum(pl.e_v * j for pl, j in zip(arches, jitter)) / total_e
+    arch = {pl: math.exp(need / total_e + j - mean) for pl, j in zip(arches, jitter)}
+    return Idele.make(field, fin, arch)
+
+
+@pytest.mark.parametrize("field, top", [(Q, 6.5), (Qi, 12.0), (Q5, 12.0), (Qm3, 12.0)],
+                         ids=["Q", "Qi", "Q5", "Qm3"])
+def test_h0_sums_the_sparser_side(field, top):
+    # one idele per stratum of log-norm 0..top: h0 agrees with the direct
+    # theta sum (up to millions of points) while summing few points itself
+    rng = random.Random(f"sparser:{field.describe()}")
+    params = ThetaParams()
+    for s in range(24):
+        target = top * (s + rng.random()) / 24
+        al = steered_idele(field, rng, target)
+        assert abs(float(idele_log_norm(al)) - target) < 1e-9
+        value, points = h0_with_count(field, al, params)
+        direct, _ = theta_log_for_idele(al, params.tolerance, params.max_radius)
+        assert abs(float(value) - direct) < 1e-10, al.describe()
+        assert points <= 100, (al.describe(), points)
+
+
+def test_identity_checks_sum_both_sides_directly():
+    # on a dense idele h0 takes the sparse dual, but Serre and Poisson must
+    # not, or each identity would hold by construction
+    al = arch_idele(Qi, math.exp(4.0))  # log-norm 8
+    assert h0_with_count(Qi, al, ThetaParams())[1] <= 100
+    rep = verify_serre(Qi, al, ThetaParams(tolerance=1e-10), check_tol=1e-8)
+    assert rep.passed and rep.lattice_points_used > 10 ** 4
+    rep = verify_poisson(Qi, al, ThetaParams(tolerance=1e-12), check_tol=1e-10)
+    assert rep.passed and rep.lattice_points_used > 10 ** 4
 
 
 # -- h1 -----------------------------------------------------------------------------
