@@ -41,6 +41,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import List
 
 from .globalfields import (
@@ -195,10 +196,12 @@ def chi_relative(L: GlobalFieldDesc, K: GlobalFieldDesc, alpha: Idele) -> LogVal
     return idele_log_norm(alpha) + rel.log() * Fraction(-1, 2)
 
 
+@lru_cache(maxsize=None)
 def canonical_idele(field: GlobalFieldDesc) -> Idele:
     """kappa: v(kappa) = -(different exponent) at ramified finite places;
     for F_q(t), v = +2 at the degree place.  div(kappa) is the canonical
-    divisor and log|kappa| = +log d_K."""
+    divisor and log|kappa| = +log d_K.  One per field (cached; an Idele is
+    immutable, so every caller may share it)."""
     if field.kind == RATIONAL:
         return Idele.trivial(field)
     if field.kind == QUADRATIC:

@@ -2,10 +2,10 @@
 
 The global sections attached to an idele alpha form a fractional ideal
 I = prod P^{v_P(alpha)}; the archimedean test function weights a section x
-by exp(-e_v pi |x / alpha_v|_v^{2/e_v}).  This module builds a 2x2 (or
-1x1) embedding matrix E with Q(x) = pi * ||E x||^2 the resulting positive
-definite form on ideal coordinates, and evaluates sum exp(-Q) over the
-lattice with a certified truncation.
+by exp(-e_v pi |x / alpha_v|_v^{2/e_v}).  This module builds the rows of a
+2x2 (or 1x1) embedding matrix E with Q(x) = pi * ||E x||^2 the resulting
+positive definite form on ideal coordinates, and evaluates sum exp(-Q) over
+the lattice with a certified truncation.
 
 Sections lattice in closed form (Cohen, A Course in Computational
 Algebraic Number Theory, 5.2): I = c * [N, omega - r] = c (Z N + Z (omega - r))
@@ -19,7 +19,8 @@ method.  j = 0 on Q and at inert primes.  The parts left have coprime norms,
 so CRT joins their roots into one r.  The plan alone gives the scales that
 decide extremes, log |alpha| = sum e_v log alpha_v - n log c - log N and
 log c N (c N generates the rationals in I and is the largest basis entry),
-so they are known before c and N are multiplied out.
+so they are known before c and N are multiplied out.  Each sum builds its
+plan once.
 
 Extremes are settled by the norm before a float lattice is built.  Sparse:
 every nonzero section has ||E x||^2 >= m0, m0 = 2/|alpha| (AM-GM and
@@ -28,6 +29,11 @@ underflows, and h0 = 0.0 over one point.  Dense: the smallest eigenvalue of
 G = E^T E is at most covol^(2/n), covol = sqrt|d_K| / |alpha|, and if the
 certified box at that cap passes max_radius, so does the true one.  A
 lattice that is neither, but whose basis leaves double range, is refused.
+
+The set-up of a sum works on at most four numbers, so it runs in Python
+floats: Lagrange reduction of the basis and a lower bound on the smallest
+eigenvalue of G, det(E)^2 / lam_max on the reduced basis.  numpy evaluates
+only the sum itself, one np.exp per block of at most BLOCK lattice points.
 
 Truncation bound: with lam a lower bound on the smallest eigenvalue of
 G, every coefficient box [-B, B]^n misses at most
@@ -45,8 +51,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -61,6 +66,10 @@ from .globalfields import (
     omega_embeddings,
     places_above,
 )
+
+BLOCK = 4096  # lattice points per np.exp call; bounds the sum's temporary arrays
+
+Plan = List[Tuple[int, int, int, "Place | None"]]
 
 
 class RadiusExceeded(GlobalFieldError):
@@ -82,14 +91,6 @@ class FractionalIdeal:
     b: int
     c: int
 
-    def basis_columns(self) -> Tuple[Tuple[Fraction, Fraction], Tuple[Fraction, Fraction]]:
-        d = self.den
-        return ((Fraction(self.a, d), Fraction(0)),
-                (Fraction(self.b, d), Fraction(self.c, d)))
-
-    def norm(self) -> Fraction:
-        return Fraction(self.a * self.c, self.den ** 2)
-
 
 def _lift_root(field: GlobalFieldDesc, r: int, p: int, j: int) -> int:
     """The root r mod p of omega's minimal polynomial x^2 - t x + n, lifted
@@ -103,7 +104,7 @@ def _lift_root(field: GlobalFieldDesc, r: int, p: int, j: int) -> int:
     return r
 
 
-def _plan(alpha: Idele) -> List[Tuple[int, int, int, Place | None]]:
+def _plan(alpha: Idele) -> Plan:
     """(p, k, j, P) per rational prime p under the finite part of alpha:
     the sections lattice is prod p^k * [prod p^j, omega - r], r the root of
     P mod p^j joined by CRT; j = 0 and P None on Q and at inert primes."""
@@ -121,19 +122,35 @@ def _plan(alpha: Idele) -> List[Tuple[int, int, int, Place | None]]:
     return plan
 
 
+def _content(plan: Plan) -> Tuple[int, int]:
+    """c = prod p^k as a reduced fraction (numerator, denominator)."""
+    num = den = 1
+    for p, k, _, _ in plan:
+        if k > 0:
+            num *= p ** k
+        else:
+            den *= p ** -k
+    return num, den
+
+
+def _ideal(field: GlobalFieldDesc, plan: Plan) -> FractionalIdeal:
+    """The sections lattice c * [N, omega - r] of a quadratic field's idele,
+    from its plan."""
+    N, r = 1, 0
+    for p, _, j, P in plan:
+        if j:
+            q = p ** j
+            root = _lift_root(field, P.root, p, j)
+            r += N * ((root - r) * pow(N, -1, q) % q)
+            N *= q
+    num, den = _content(plan)
+    return FractionalIdeal(field, den, num * N, num * (-r % N), num)
+
+
 def ideal_for_idele(alpha: Idele) -> FractionalIdeal:
     """The sections lattice prod P^{v_P(alpha)} of an idele of a quadratic
     field, built as c * [N, omega - r] from its plan."""
-    content, N, r = Fraction(1), 1, 0
-    for p, k, j, P in _plan(alpha):
-        content *= Fraction(p) ** k
-        if j:
-            q = p ** j
-            root = _lift_root(alpha.field, P.root, p, j)
-            r += N * ((root - r) * pow(N, -1, q) % q)
-            N *= q
-    num = content.numerator
-    return FractionalIdeal(alpha.field, content.denominator, num * N, num * (-r % N), num)
+    return _ideal(alpha.field, _plan(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -141,11 +158,12 @@ def ideal_for_idele(alpha: Idele) -> FractionalIdeal:
 # ---------------------------------------------------------------------------
 
 
-def embedding_matrix(field: GlobalFieldDesc, ideal: FractionalIdeal,
-                     arch: Dict[Place, float]) -> np.ndarray:
+def _rows(field: GlobalFieldDesc, ideal: FractionalIdeal,
+          arch: Dict[Place, float]) -> List[List[float]]:
     """Rows z / alpha at a real place, sqrt 2 Re z / alpha and sqrt 2 Im z / alpha
     at a complex one, z the image of a basis column; Q(x) = pi * ||E x||^2."""
-    cols = [(float(x), float(y)) for x, y in ideal.basis_columns()]
+    d = ideal.den
+    cols = ((ideal.a / d, 0.0), (ideal.b / d, ideal.c / d))
     rows = []
     root2 = math.sqrt(2.0)
     for pl, w in zip(places_above(field, INFINITY), omega_embeddings(field)):
@@ -155,7 +173,13 @@ def embedding_matrix(field: GlobalFieldDesc, ideal: FractionalIdeal,
             rows.append([z.real / al for z in zs])
         else:
             rows += [[root2 * z.real / al for z in zs], [root2 * z.imag / al for z in zs]]
-    return np.array(rows)
+    return rows
+
+
+def embedding_matrix(field: GlobalFieldDesc, ideal: FractionalIdeal,
+                     arch: Dict[Place, float]) -> np.ndarray:
+    """E as an array (see ``_rows``)."""
+    return np.array(_rows(field, ideal, arch))
 
 
 def _geom_tail(lam: float, B: int) -> float:
@@ -184,61 +208,79 @@ def certified_box(lam: float, rank: int, tol: float, max_radius: float,
                 f"certified radius exceeds max_radius = {max_radius}")
 
 
-def _gauss_reduce(E: np.ndarray) -> np.ndarray:
-    """Lagrange-reduce the two basis columns (same lattice, shorter basis)."""
-    c1, c2 = E[:, 0].copy(), E[:, 1].copy()
-    for _ in range(64):
-        if float(c1 @ c1) > float(c2 @ c2):
-            c1, c2 = c2, c1
-        n1 = float(c1 @ c1)
-        if n1 == 0.0:
-            raise GlobalFieldError("embedding matrix is singular in double precision")
-        mu = round(float(c1 @ c2) / n1)
-        if mu == 0:
-            break
-        c2 = c2 - mu * c1
-    return np.column_stack([c1, c2])
+def _reduce(rows: Sequence[Sequence[float]]) -> Tuple[Sequence[Sequence[float]], float]:
+    """(rows of a Lagrange-reduced basis of the same lattice, lam): lam is a
+    lower bound on the smallest eigenvalue of its Gram matrix, 0.1 % below
+    det(E)^2 / lam_max (a product of eigenvalues over the larger one).
 
-
-def theta_log_sum(E: np.ndarray, tol: float, max_radius: float,
-                  start: int = 1) -> Tuple[float, int]:
-    """(log of the lattice Gaussian sum, lattice points evaluated); the box
-    search resumes at ``start`` (see ``certified_box``).
-
-    Reduction and the smallest eigenvalue scale with E, so they run on E/s,
-    s the power of two just above its largest entry (exact, no overflow);
-    a weight whose exponent overflows to inf is exactly 0.
+    Reduction and the eigenvalue scale with E, so they run on E/s, s the
+    power of two just above its largest entry (exact, no overflow).
     """
-    top = float(np.abs(E).max())
-    if not math.isfinite(top):
+    flat = [v for row in rows for v in row]
+    if not all(map(math.isfinite, flat)):
         raise GlobalFieldError("embedding matrix is not finite "
                                "(archimedean component out of range)")
-    s = math.ldexp(1.0, math.frexp(top)[1])
-    Es = E / s
-    if E.shape[1] == 2:
-        Es = _gauss_reduce(Es)
-        E = Es * s
-    lam = float(np.linalg.eigvalsh(Es.T @ Es).min()) * s * s * 0.999
+    s = math.ldexp(1.0, math.frexp(max(map(abs, flat)))[1])
+    if len(flat) == 1:
+        e = flat[0] / s
+        lam, out = e * e, rows
+    else:
+        (u0, v0), (u1, v1) = [[x / s for x in row] for row in rows]  # columns u, v
+        for _ in range(64):
+            uu, vv = u0 * u0 + u1 * u1, v0 * v0 + v1 * v1
+            if uu > vv:
+                u0, u1, v0, v1, uu = v0, v1, u0, u1, vv
+            if uu == 0.0:
+                raise GlobalFieldError("embedding matrix is singular in double precision")
+            mu = round((u0 * v0 + u1 * v1) / uu)
+            if mu == 0:
+                break
+            v0, v1 = v0 - mu * u0, v1 - mu * u1
+        uu, vv, uv = u0 * u0 + u1 * u1, v0 * v0 + v1 * v1, u0 * v0 + u1 * v1
+        det = u0 * v1 - v0 * u1
+        lam = det * det / ((uu + vv) / 2 + math.hypot((uu - vv) / 2, uv))
+        out = [[u0 * s, v0 * s], [u1 * s, v1 * s]]
+    lam = lam * s * s * 0.999
     if lam <= 0:
         raise GlobalFieldError("embedding matrix is singular in double precision")
-    rank = E.shape[1]
-    B = certified_box(lam, rank, tol * 0.25, max_radius, start)
+    return out, lam
+
+
+def _box_sum(rows: Sequence[Sequence[float]], B: int) -> Tuple[float, int]:
+    """(sum of exp(-pi ||E x||^2) over the box [-B, B]^rank, its points).
+
+    One np.exp per block of at most BLOCK points: whole grid rows x, or
+    pieces of one row when it is longer.  Rank 1 is the row x = 0 of a
+    rank-2 box with a zero first column.  A weight whose exponent
+    overflows to inf is exactly 0.
+    """
+    rank = len(rows[0])
+    ys = np.arange(-B, B + 1, dtype=float)
+    xs = ys[:, None] if rank == 2 else np.zeros((1, 1))
+    terms = [((row[0] if rank == 2 else 0.0) * xs, row[-1] * ys) for row in rows]
+    step = max(1, BLOCK // ys.size)
+    total = 0.0
     with np.errstate(over="ignore"):
-        if rank == 1:
-            xs = np.arange(-B, B + 1, dtype=float)
-            q = math.pi * (E[0, 0] * xs) ** 2
-            return math.log(float(np.exp(-q).sum())), xs.size
-        ys = np.arange(-B, B + 1, dtype=float)
-        e00, e01 = float(E[0, 0]), float(E[0, 1])
-        e10, e11 = float(E[1, 0]), float(E[1, 1])
-        total = 0.0
-        points = 0
-        for x in range(-B, B + 1):
-            r0 = e00 * x + e01 * ys
-            r1 = e10 * x + e11 * ys
-            q = math.pi * (r0 * r0 + r1 * r1)
-            total += float(np.exp(-q).sum())
-            points += ys.size
+        for i in range(0, len(xs), step):
+            for j in range(0, ys.size, BLOCK):
+                q = sum((ax[i:i + step] + by[j:j + BLOCK]) ** 2 for ax, by in terms)
+                total += float(np.exp(-math.pi * q).sum())
+    return total, ys.size ** rank
+
+
+def theta_log_sum(rows: Sequence[Sequence[float]], tol: float, max_radius: float,
+                  start: int = 1) -> Tuple[float, int]:
+    """(log of the lattice Gaussian sum, lattice points evaluated) for E
+    given by its rows in Python floats; the box search resumes at
+    ``start`` (see ``certified_box``).
+
+    The set-up runs in Python floats (``_reduce``): the finiteness check,
+    Lagrange reduction and the eigenvalue bound that certifies the box.
+    numpy sums the (2B + 1)^rank points in blocks (``_box_sum``).
+    """
+    rows, lam = _reduce(rows)
+    B = certified_box(lam, len(rows[0]), tol * 0.25, max_radius, start)
+    total, points = _box_sum(rows, B)
     return math.log(total), points
 
 
@@ -265,9 +307,9 @@ def theta_log_for_idele(alpha: Idele, tol: float, max_radius: float) -> Tuple[fl
         raise GlobalFieldError("the sections lattice leaves double range (a skewed idele "
                                "of moderate norm; exact reduction is not implemented)")
     if field.kind == RATIONAL:
-        c = math.prod(Fraction(p) ** k for p, k, _, _ in plan)
+        num, den = _content(plan)
         pl, = places_above(field, INFINITY)
-        E = np.array([[float(c) / alpha.arch.get(pl, 1.0)]])
+        rows = [[num / den / alpha.arch.get(pl, 1.0)]]
     else:
-        E = embedding_matrix(field, ideal_for_idele(alpha), alpha.arch)
-    return theta_log_sum(E, tol, max_radius, start)
+        rows = _rows(field, _ideal(field, plan), alpha.arch)
+    return theta_log_sum(rows, tol, max_radius, start)

@@ -4,11 +4,13 @@ import time
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from adelic.euler import (
     RadiusExceeded,
     ThetaParams,
+    _h0_direct,
     canonical_idele,
     chi,
     chi_relative,
@@ -37,6 +39,8 @@ from adelic.globalfields import (
     random_idele_bounded,
 )
 from adelic.theta import (
+    BLOCK,
+    _reduce,
     certified_box,
     embedding_matrix,
     ideal_for_idele,
@@ -393,8 +397,19 @@ def test_report_json_schema():
 # -- theta internals ------------------------------------------------------------------
 
 
+def ideal_norm(ideal):
+    """N(I) of a FractionalIdeal, exact: the index of its basis in Z^2."""
+    return Fraction(ideal.a * ideal.c, ideal.den ** 2)
+
+
+def ideal_basis(ideal):
+    """The two basis columns of a FractionalIdeal as exact coordinates in
+    the integral basis (1, omega)."""
+    d = ideal.den
+    return ((Fraction(ideal.a, d), Fraction(0)), (Fraction(ideal.b, d), Fraction(ideal.c, d)))
+
+
 def test_theta_ideal_covolume():
-    import numpy as np
     # covol(I) = N(I) sqrt|disc| with the self-dual normalization
     for F in (Qi, Q5, Qm3):
         O = ideal_for_idele(Idele.trivial(F))
@@ -403,7 +418,7 @@ def test_theta_ideal_covolume():
         P = ideal_for_idele(Idele.make(F, {places_above(F, 11)[0]: 1}))
         EP = embedding_matrix(F, P, {})
         assert abs(abs(np.linalg.det(EP)) -
-                   float(P.norm()) * math.sqrt(abs(F.disc))) < 1e-10
+                   float(ideal_norm(P)) * math.sqrt(abs(F.disc))) < 1e-10
 
 
 def test_theta_ideal_norm_is_product_of_prime_norms():
@@ -421,7 +436,7 @@ def test_theta_ideal_norm_is_product_of_prime_norms():
         expected = Fraction(1)
         for pl, v in fin.items():
             expected *= Fraction(pl.residue_card) ** v
-        assert ideal_for_idele(Idele.make(F, fin)).norm() == expected, (F, fin)
+        assert ideal_norm(ideal_for_idele(Idele.make(F, fin))) == expected, (F, fin)
 
 
 def test_theta_ideal_of_a_deep_split_power_is_fast():
@@ -430,7 +445,7 @@ def test_theta_ideal_of_a_deep_split_power_is_fast():
     t = time.perf_counter()
     ideal = ideal_for_idele(Idele.make(Qi, {P5: 20000}))
     assert time.perf_counter() - t < 1.0
-    assert ideal.norm() == 5 ** 20000 and ideal.den == ideal.c == 1
+    assert ideal_norm(ideal) == 5 ** 20000 and ideal.den == ideal.c == 1
 
 
 def test_certified_box_resumes_at_the_box_of_a_larger_eigenvalue():
@@ -487,9 +502,54 @@ def test_h0_matches_direct_weighted_sum():
                     {places_above(Qi, INFINITY)[0]: 1.4})
     assert arch_weight(Qi, al, (0, 0)) == 1.0
     I = ideal_for_idele(al)
-    cols = I.basis_columns()
+    cols = ideal_basis(I)
     direct = math.fsum(
         arch_weight(Qi, al, (cols[0][0] * i + cols[1][0] * j,
                              cols[0][1] * i + cols[1][1] * j))
         for i in range(-30, 31) for j in range(-30, 31))
     assert abs(math.exp(float(h0(Qi, al))) - direct) < 1e-10
+
+
+def test_direct_sum_over_several_blocks_matches_weighted_sum():
+    # the direct theta sum evaluates its box in blocks of at most BLOCK
+    # points; the element-by-element oracle sums a wider box in one pass
+    P3, = places_above(Qm3, 3)
+    al = Idele.make(Qm3, {P3: -2}, {places_above(Qm3, INFINITY)[0]: 7.0})
+    value, points = _h0_direct(Qm3, al, ThetaParams())
+    B = math.isqrt(points) // 2
+    assert 64 <= B <= 76 and points > 4 * BLOCK
+    cols = ideal_basis(ideal_for_idele(al))  # (1/3, 0), (0, 1/3)
+    direct = math.fsum(
+        arch_weight(Qm3, al, (cols[0][0] * i + cols[1][0] * j,
+                              cols[0][1] * i + cols[1][1] * j))
+        for i in range(-92, 93) for j in range(-92, 93))
+    assert abs(math.log(direct) - float(value)) < 1e-10
+
+    # rank 1: one grid row longer than a block
+    P5, = places_above(Q, 5)
+    al = Idele.make(Q, {P5: -1}, {places_above(Q, INFINITY)[0]: 150.0})
+    value, points = _h0_direct(Q, al, ThetaParams())
+    assert BLOCK < points < 3000 * 2
+    direct = math.fsum(arch_weight(Q, al, Fraction(k, 5)) for k in range(-3000, 3001))
+    assert abs(math.log(direct) - float(value)) < 1e-10
+
+
+def test_closed_form_least_eigenvalue_is_a_close_lower_bound():
+    # the box is certified by lam = 0.999 det(E)^2 / lam_max on the reduced
+    # basis; against numpy's symmetric eigensolver it must stay below the
+    # least eigenvalue and within 1 % of it, skewed ideles included
+    rng = random.Random(17)
+    fields = [GlobalFieldDesc.quadratic(d)
+              for d in (-1, -2, -3, -7, -11, -15, 2, 3, 5, 13, 17, 21)]
+    for _ in range(2000):
+        F = rng.choice(fields)
+        p = rng.choice((2, 3, 5, 7, 11, 13))
+        pls = places_above(F, p)
+        v = rng.randint(-6, 6)
+        fin = {pls[0]: v, pls[-1]: -v} if len(pls) == 2 else {pls[0]: v}
+        arch = {pl: math.exp(rng.uniform(-3.0, 3.0)) for pl in archimedean_places(F)}
+        al = Idele.make(F, fin, arch)
+        rows, lam = _reduce(embedding_matrix(F, ideal_for_idele(al), al.arch))
+        E = np.array(rows, dtype=float)
+        true = float(np.linalg.eigvalsh(E.T @ E).min())
+        assert 0.99 * true <= lam <= true, (al.describe(), lam, true)

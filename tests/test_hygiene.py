@@ -139,3 +139,20 @@ def test_benchmark_span_targets_exist():
                 if not callable(getattr(cls, attr, None))]
     missing += [key for key, fn in spans.CACHES.items() if not hasattr(fn, "cache_info")]
     assert not missing, f"benchmark span targets missing from adelic: {missing}"
+
+
+def test_only_theta_imports_numpy():
+    # numpy serves the theta sum alone; every other layer computes in exact
+    # arithmetic or Python floats
+    importers = set()
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module or ""]
+            else:
+                continue
+            if any(n == "numpy" or n.startswith("numpy.") for n in names):
+                importers.add(path.stem)
+    assert importers == {"theta"}
