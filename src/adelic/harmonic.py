@@ -8,13 +8,18 @@ normalized by mu(O_v) = p^(-d/2) the Fourier transform is an exact
 involution up to reflection, and the classical coset-integral formulas are
 reproduced by honest character sums.
 
-A scalar is held in one integer form, the one the transform computes in:
-(sum over m of c_m zeta_D^m) / den times the measure factor, with D a power
-of p and integers c_m and den.  It is canonical from construction on (see
-:class:`CycScalar`), so vanishing of a character sum is decided exactly, by
-an empty coefficient table; a complex-float evaluation is kept around as a
-numeric cross-check, not as the arbiter.  Step-function tables likewise
-never store a zero value.
+A scalar is held in one integer form: (sum over m of c_m zeta_D^m) / den
+times the measure factor, with D a power of p and integers c_m and den.  It
+is canonical from construction on (see :class:`CycScalar`), so vanishing of
+a character sum is decided exactly, by an empty coefficient table.
+Step-function tables likewise never store a zero value.
+
+The transform (:func:`fourier`) runs one pass per digit position, summing
+out one input digit against the output digits it meets, over a table with
+one entry per coset.  Inside it a value's coefficients are packed into one
+int, the numerators over a common denominator in fixed-width slots modulo
+2^(wD) - 1 (zeta_D -> 2^w), so that a root of unity is a shift; each output
+coset is unpacked once into the integer form above.
 
 Every measure here is a half-integral power of p, and a transform maps a
 function whose values share one measure factor to another such function.
@@ -25,19 +30,17 @@ scalars with different factors.
 
 from __future__ import annotations
 
-import cmath
 import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, List, Tuple
 
 from .localfields import (
     LocalElement,
     LocalFieldDesc,
-    UnitAngle,
     local_measure,
     negate_digits,
     standard_character,
@@ -155,10 +158,6 @@ class CycScalar:
     def from_posreal(cls, p: int, m: PosRealExact) -> "CycScalar":
         return cls(p, {0: 1}, m)
 
-    @classmethod
-    def from_angle(cls, p: int, angle: UnitAngle, coeff=1) -> "CycScalar":
-        return cls(p, {angle.r: coeff})
-
     # -- canonical form ---------------------------------------------------------
 
     def canonical(self) -> "CycScalar":
@@ -172,12 +171,6 @@ class CycScalar:
 
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    def as_rational(self) -> Fraction:
-        """Exact rational value; raises when irrational."""
-        if self.D != 1 or not self.measure_factor.is_one():
-            raise HarmonicError(f"{self} is not rational")
-        return Fraction(self.coeffs.get(0, 0), self.den)
 
     # -- arithmetic ---------------------------------------------------------------
 
@@ -237,11 +230,6 @@ class CycScalar:
         return self.eq(other)
 
     __hash__ = None  # type: ignore[assignment]
-
-    def complex_value(self) -> complex:
-        total = sum((c * cmath.exp(2j * math.pi * m / self.D)
-                     for m, c in self.coeffs.items()), 0j)
-        return total / self.den * float(self.measure_factor)
 
     def to_json(self) -> dict:
         terms = sorted(self.terms.items())
@@ -304,26 +292,6 @@ class StepFunction:
     def length(self) -> int:
         return self.support_bound + self.level
 
-    def iter_cosets(self) -> Iterable[DigitVec]:
-        return itertools.product(self.field.residue_reps(), repeat=self.length)
-
-    def value_at(self, start: int, digits: DigitVec) -> CycScalar:
-        """Value on the coset of the element with the given digit window."""
-        M, N = self.support_bound, self.level
-        zero = 0 if self.field.f == 1 else (0, 0)
-        key = []
-        for pos in range(-M, N):
-            idx = pos - start
-            key.append(digits[idx] if 0 <= idx < len(digits) else zero)
-        for pos in range(start, -M):
-            if digits[pos - start] != zero:
-                return CycScalar.zero(self.field.p)  # outside the support
-        return self.values.get(tuple(key), CycScalar.zero(self.field.p))
-
-    def value_at_zero(self) -> CycScalar:
-        zero = 0 if self.field.f == 1 else (0, 0)
-        return self.values.get((zero,) * self.length, CycScalar.zero(self.field.p))
-
     def refine(self, M2: int, N2: int) -> "StepFunction":
         """The same function on the finer (M2, N2) table: each stored coset
         becomes its zero-padded head followed by every digit tail."""
@@ -344,22 +312,6 @@ class StepFunction:
         a, b = self.refine(M, N).values, other.refine(M, N).values
         return a.keys() == b.keys() and all(v.eq(b[k]) for k, v in a.items())
 
-    def __add__(self, other: "StepFunction") -> "StepFunction":
-        if self.field != other.field:
-            raise HarmonicError("step functions on different fields")
-        M = max(self.support_bound, other.support_bound)
-        N = max(self.level, other.level)
-        a, b = self.refine(M, N), other.refine(M, N)
-        vals = dict(a.values)
-        for k, v in b.values.items():
-            w = vals.get(k)
-            vals[k] = v if w is None else w + v
-        return StepFunction(self.field, M, N, vals)
-
-    def scale(self, q) -> "StepFunction":
-        return StepFunction(self.field, self.support_bound, self.level,
-                            {k: v.scale_rational(q) for k, v in self.values.items()})
-
 
 def indicator(field: LocalFieldDesc, m: int) -> StepFunction:
     """The characteristic function of pi^m O_v (value 1)."""
@@ -379,14 +331,6 @@ def integrate(f: StepFunction) -> CycScalar:
     return total.scale_measure(coset_measure(f.field, f.level))
 
 
-def _digit_angle(field: LocalFieldDesc, digit, s: int) -> Fraction:
-    """Angle of the standard character at lift(digit) * pi^s."""
-    A = _kernel_angles(field, s)  # angles of chi(-c pi^s)
-    if field.f == 1:
-        return (-digit * A[0]) % 1
-    return (-(digit[0] * A[0] + digit[1] * A[1])) % 1
-
-
 def character_coset_integral(field: LocalFieldDesc, m: int) -> CycScalar:
     """The integral of the standard character over pi^m O_v.
 
@@ -401,8 +345,10 @@ def character_coset_integral(field: LocalFieldDesc, m: int) -> CycScalar:
     top = max(m, -field.different_exponent) + 1
     total = CycScalar.from_posreal(field.p, coset_measure(field, top))
     for s in range(top - 1, m - 1, -1):
+        A = _kernel_angles(field, s)  # angles of chi(-c pi^s)
         total = total * CycScalar(field.p, Counter(
-            _digit_angle(field, dg, s) for dg in field.residue_reps()))
+            -(dg * A[0] if field.f == 1 else dg[0] * A[0] + dg[1] * A[1]) % 1
+            for dg in field.residue_reps()))
     return total
 
 
@@ -434,74 +380,119 @@ def transform_shape(field: LocalFieldDesc, M: int, N: int) -> Tuple[int, int]:
     return (N + d, M - d)
 
 
+@lru_cache(maxsize=256)
+def _digit_plan(field: LocalFieldDesc, n: int):
+    """(Dk, diag, twiddles): the shape-only angles, times Dk, of an n-digit
+    transform.  pair[q][a][b] is the angle of chi(-lift(a) lift(b)
+    pi^(-d-1-q)), symmetric in a and b, and diag = pair[0]; twiddles[t][P][b]
+    is the sum over k < t of pair[t - k][a_k][b] for the output digits
+    P = (a_0, ..., a_(t-1)), indexed in product order."""
+    d = field.different_exponent
+    reps = field.residue_reps()
+    kernels = [_kernel_angles(field, -d - 1 - q) for q in range(n)]
+    Dk = math.lcm(1, *(r.denominator for A in kernels for r in A))
+    # lift(a) lift(b) = a0 b0 + (a0 b1 + a1 b0) theta + a1 b1 theta^2
+    lifts = [(r, 0) if field.f == 1 else r for r in reps]
+    pair = []
+    for A in kernels:
+        A0, A1, A2 = [r.numerator * (Dk // r.denominator) for r in A] + [0] * (3 - len(A))
+        pair.append([[(a0 * (b0 * A0 + b1 * A1) + a1 * (b0 * A1 + b1 * A2)) % Dk
+                      for b0, b1 in lifts] for a0, a1 in lifts])
+    twiddles = []
+    for t in range(n):
+        tw = [[0] * len(reps)]
+        for k in range(t):
+            tw = [[x + y for x, y in zip(row, col)] for row in tw for col in pair[t - k]]
+        twiddles.append([[x % Dk for x in row] for row in tw])
+    return Dk, pair[0] if n else [], twiddles
+
+
+@lru_cache(maxsize=256)
+def _transform_scale(field: LocalFieldDesc, level: int, mf: PosRealExact):
+    """mf * mu(pi^level O_v) as (numerator, denominator, residual measure)."""
+    ratio, residual = _split_measure(mf * coset_measure(field, level))
+    return ratio.numerator, ratio.denominator, residual
+
+
 def fourier(f: StepFunction) -> StepFunction:
     """The Fourier transform integral f(y) chi(-x y) dy, exactly.
 
     Linear in f; on indicators it reproduces the closed form
     (#k)^(-m) mu(O) * indicator(-m - d).
 
-    The angle of chi(-x y) is bilinear in the digit vectors: for
-    x = sum a_i pi^i and y = sum b_j pi^j it is the sum over i, j of
-    a_i^T K(i + j) b_j, where K(s) holds _kernel_angles(field, s) (the
-    (1, theta, theta^2) coordinates of lift(a) * lift(b) when f = 2).  So
-    each stored coset y fixes one integer linear form in the output digits,
-    built once, and the sum over y is integer bookkeeping in Z[zeta_D],
-    reduced once per output coset.
+    Number the n = M + N output digits a_k from the shallowest and the input
+    digits b_l from the deepest.  The angle of chi(-x y) is the sum over k, l
+    of a_k^T K(-d - 1 + k - l) b_l (K from _kernel_angles), which vanishes
+    for l < k, where chi is trivial.  So pass t sums out b_t against
+    a_0..a_t, Cooley-Tukey on the digit filtration, over a table of one
+    entry per coset: each pass reads b_t as its most significant digit and
+    appends a_t as its least, so the outputs end in product order, and
+    skips zero entries, so a sparse input costs little until the table fills.
+
+    A value is one int modulo 2^(wD) - 1 with coefficient c_m in slot m of
+    w bits (zeta_D -> 2^w): times zeta^j is a shift by w j and a fold.
+    An output is then reduced modulo Phi_D(2^w), the cyclotomic fold, and
+    its slots decode once.  A coefficient there is the difference of two
+    slots, each a signed sum of scaled input coefficients, so it stays
+    within their l1 norm, and with 2^(w-1) above that norm the biased slots
+    decode exactly.
     """
-    field = f.field
-    p = field.p
-    M, N = f.support_bound, f.level
-    Mh, Nh = transform_shape(field, M, N)
-    in_pos = range(-M, N)
-    out_pos = range(-Mh, Nh)
+    field, p = f.field, f.field.p
+    n = f.length
     reps = field.residue_reps()
-    kernels = {i + j: _kernel_angles(field, i + j) for i in out_pos for j in in_pos}
-    D = math.lcm(1, *(r.denominator for A in kernels.values() for r in A),
-                 *(v.D for v in f.values.values()))
-    L = math.lcm(1, *(v.den for v in f.values.values()))
+    R = len(reps)
+    Dk, diag, twiddles = _digit_plan(field, n)
+    vals = f.values
+    D = math.lcm(p, Dk, *(v.D for v in vals.values()))
+    L = math.lcm(1, *(v.den for v in vals.values()))
     # the rational part of mf * mu scales every input coefficient
-    ratio, residual = _split_measure(f.measure_factor * coset_measure(field, N))
-    num, den = ratio.numerator, ratio.denominator * L
+    num, den, residual = _transform_scale(field, f.level, f.measure_factor)
+    den *= L
+    l1 = num * sum(L // v.den * sum(map(abs, v.coeffs.values())) for v in vals.values())
+    w = l1.bit_length() + 1
+    wD = w * D
+    mod = (1 << wD) - 1
+    T = [0] * R ** n
+    for yvec, v in vals.items():
+        i = 0
+        for dg in reversed(yvec):
+            i = i * R + reps.index(dg)
+        ws = w * (D // v.D)
+        T[i] = L // v.den * num * sum(c << ws * m for m, c in v.coeffs.items()) % mod
 
-    # pair[s][b][k]: the angle of chi(-lift(reps[k]) lift(b) pi^s), times D.
-    # For f = 2, lift(a) lift(b) = a0 b0 + (a0 b1 + a1 b0) theta + a1 b1 theta^2
-    pair = {}
-    for s, A in kernels.items():
-        A = [r.numerator * (D // r.denominator) for r in A]
-        if field.f == 1:
-            pair[s] = {b: [a * b * A[0] for a in reps] for b in reps}
-        else:
-            pair[s] = {(b0, b1): [a0 * w0 + a1 * w1 for a0, a1 in reps]
-                       for b0, b1 in reps
-                       for w0, w1 in [(b0 * A[0] + b1 * A[1], b0 * A[1] + b1 * A[2])]}
+    H = R ** n // R
+    s = w * (D // Dk)  # bits per angle unit 1/Dk
+    diag = [[s * x for x in row] for row in diag]
+    for tw in twiddles:
+        stride = len(tw)
+        new = [0] * len(T)
+        for i, x in enumerate(T):
+            if x:
+                b, rest = divmod(i, H)
+                x = (x & mod) + (x >> wD)
+                u = s * tw[rest % stride][b]
+                base = rest * R
+                for a, sh in enumerate(diag[b]):
+                    new[base + a] += x << (u + sh) % wD
+        T = new
 
-    # one flat integer table indexed by
-    # (output coset in product order) * D + exponent of zeta_D, over den
-    n_out = len(reps) ** len(out_pos)
-    table = [0] * (n_out * D)
-    for yvec, val in f.values.items():
-        angles = [0]  # the linear form of y, on every output coset
-        for i in out_pos:
-            contrib = [0] * len(reps)
-            for j, b in zip(in_pos, yvec):
-                contrib = [c + e for c, e in zip(contrib, pair[i + j][b])]
-            angles = [s + c for s in angles for c in contrib]
-        s, k = D // val.D, L // val.den * num
-        terms = [(m * s, c * k) for m, c in val.coeffs.items()]
-        base = 0
-        for ang in angles:
-            for m, c in terms:
-                table[base + (ang + m) % D] += c
-            base += D
-
+    # modulo Phi_D(2^w), D >= p, a value lands in the power basis of
+    # Q(zeta_D), its exponents below B = (p-1)D/p, so a zero value is 0
+    B = D - D // p
+    phi = mod // ((1 << wD // p) - 1)
+    half = 1 << (w - 1)
+    bias = half * (((1 << w * B) - 1) // ((1 << w) - 1))  # half in each slot < B
+    slot = (1 << w) - 1
     out_values: Dict[DigitVec, CycScalar] = {}
-    for xi, xvec in enumerate(itertools.product(reps, repeat=len(out_pos))):
-        lo = xi * D
-        Dx, coeffs, denx = _normalize(
-            p, D, {m: c for m, c in enumerate(table[lo:lo + D]) if c}, den)
-        if coeffs:
-            out_values[xvec] = CycScalar._make(p, Dx, coeffs, denx, residual)
-    return StepFunction(field, Mh, Nh, out_values)
+    for xvec, v in zip(itertools.product(reps, repeat=n), T):
+        z = (v + bias) % phi
+        if z != bias:
+            work = {}
+            for m in range(B):
+                if c := (z >> w * m & slot) - half:
+                    work[m] = c
+            out_values[xvec] = CycScalar._make(p, *_normalize(p, D, work, den), residual)
+    return StepFunction(field, *transform_shape(field, f.support_bound, f.level), out_values)
 
 
 @lru_cache(maxsize=200_000)
