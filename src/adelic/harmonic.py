@@ -403,8 +403,9 @@ def _digit_plan(field: LocalFieldDesc, n: int):
         tw = [[0] * len(reps)]
         for k in range(t):
             tw = [[x + y for x, y in zip(row, col)] for row in tw for col in pair[t - k]]
-        twiddles.append([[x % Dk for x in row] for row in tw])
-    return Dk, pair[0] if n else [], twiddles
+        twiddles.append(tuple(tuple(x % Dk for x in row) for row in tw))
+    # tuples: the cache hands one result to every caller
+    return Dk, tuple(map(tuple, pair[0])) if n else (), tuple(twiddles)
 
 
 @lru_cache(maxsize=256)
