@@ -516,13 +516,14 @@ class Divisor:
 
     def degree(self) -> LogValue:
         """Arakelov degree: finite coefficients pair with log(#k_v)."""
-        total = LogValue.zero()
+        exps, real = {}, None
         for pl, c in self.coefficients:
             if pl.is_archimedean():
-                total = total + LogValue.of_real(float(c))
+                real = (real or 0.0) + float(c)
             else:
-                total = total + pl.log_card * c
-        return total
+                for p, e in pl.log_card.coeffs.items():
+                    exps[p] = exps.get(p, 0) + e * c
+        return LogValue(exps, real)
 
     def finite_degree(self) -> int:
         """Function fields: sum of n_v * deg(v) over all places."""
@@ -554,12 +555,13 @@ def idele_from_divisor(div: Divisor) -> Idele:
 
 def idele_log_norm(alpha: Idele) -> LogValue:
     """log |alpha| = sum_v log|alpha_v|_v, exact at the finite places."""
-    total = LogValue.zero()
+    exps, real = {}, None
     for pl, n in alpha.finite_components:
-        total = total + pl.log_card * -n
+        for p, e in pl.log_card.coeffs.items():
+            exps[p] = exps.get(p, 0) - e * n
     for pl, a in alpha.archimedean_components:
-        total = total + LogValue.of_real(pl.e_v * math.log(a))
-    return total
+        real = (real or 0.0) + pl.e_v * math.log(a)
+    return LogValue(exps, real)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,11 @@ prime powers with rational exponents, so they are stored symbolically as
 the log of a ``PosRealExact`` plus a float remainder, which carries the
 genuinely transcendental contributions (theta sums, archimedean
 ``log alpha_v``).
+
+Invariant: a ``PosRealExact``'s exponents are non-zero ``Fraction``s.  The
+public constructors check and clean what they are given; the arithmetic
+here builds its results from exponents that already hold it, through the
+unchecked ``PosRealExact._of``, which no other module calls.
 """
 
 from __future__ import annotations
@@ -165,8 +170,15 @@ class PosRealExact:
     # -- constructors ------------------------------------------------------
 
     @classmethod
+    def _of(cls, cleaned: Dict[int, Fraction]) -> "PosRealExact":
+        """Wrap ``cleaned``, unchecked: primes to non-zero ``Fraction``s."""
+        x = object.__new__(cls)
+        x._e = cleaned
+        return x
+
+    @classmethod
     def one(cls) -> "PosRealExact":
-        return cls({})
+        return cls._of({})
 
     @classmethod
     def prime_power(cls, p: int, e) -> "PosRealExact":
@@ -190,35 +202,28 @@ class PosRealExact:
     def is_one(self) -> bool:
         return not self._e
 
-    def is_rational(self) -> bool:
-        return all(e.denominator == 1 for e in self._e.values())
-
-    def as_fraction(self) -> Fraction:
-        """The exact rational value; raises if any exponent is fractional."""
-        if not self.is_rational():
-            raise ValueError(f"{self} is irrational")
-        out = Fraction(1)
-        for p, e in self._e.items():
-            out *= Fraction(p) ** int(e)
-        return out
-
     def __float__(self) -> float:
         return math.exp(float(self.log()))
 
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other: "PosRealExact") -> "PosRealExact":
+        if not (self._e and other._e):
+            return self if self._e else other
         exps = dict(self._e)
         for p, e in other._e.items():
             exps[p] = exps[p] + e if p in exps else e
-        return PosRealExact(exps)
+        return PosRealExact._of({p: e for p, e in exps.items() if e})
 
     def __truediv__(self, other: "PosRealExact") -> "PosRealExact":
         return self * other ** -1
 
     def __pow__(self, k) -> "PosRealExact":
-        k = exact_rational(k)
-        return PosRealExact({p: e * k for p, e in self._e.items()})
+        if type(k) is not int:
+            k = Fraction(exact_rational(k))
+        if k == -1:
+            return PosRealExact._of({p: -e for p, e in self._e.items()})
+        return PosRealExact._of({p: e * k for p, e in self._e.items()} if k else {})
 
     def log(self) -> "LogValue":
         return LogValue(self)
@@ -256,10 +261,6 @@ class LogValue:
         self.real = float(real or 0.0)
 
     @classmethod
-    def zero(cls) -> "LogValue":
-        return cls({})
-
-    @classmethod
     def of_real(cls, x: float) -> "LogValue":
         return cls({}, x)
 
@@ -278,7 +279,8 @@ class LogValue:
         return LogValue(self._x ** -1, -self.real if self._float else None)
 
     def __sub__(self, other: "LogValue") -> "LogValue":
-        return self + (-other)
+        return LogValue(self._x / other._x, self.real - other.real
+                        if self._float or other._float else None)
 
     def __mul__(self, k) -> "LogValue":
         return LogValue(self._x ** k, float(k) * self.real if self._float else None)

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 import time
@@ -23,6 +25,7 @@ from adelic.euler import (
     verify_serre,
 )
 from adelic.globalfields import (
+    HYPERELLIPTIC,
     INFINITY,
     RATIONAL,
     GlobalFieldDesc,
@@ -392,6 +395,40 @@ def test_report_json_schema():
                 "lattice_points_used", "runtime_ms"):
         assert key in obj
     assert set(obj["lhs"]) == {"symbolic", "real", "provenance"}
+
+
+# sha256 of the Riemann-Roch reports below, runtime_ms left out: it pins
+# their symbols, the bits of their reals and their provenance tags
+IDENTITY_REPORTS_DIGEST = "1922c4bd907fbbf6d80000ae3ec7c61b7231dfecc9d10bd57ec11289642f09bc"
+
+
+def test_identity_reports_json_digest():
+    from adelic.suite import relative_pairs, rr_field_roster
+
+    h = hashlib.sha256()
+    rng = random.Random(2208)
+
+    def ideles(F):
+        out = [Idele.trivial(F)]
+        if F.kind != HYPERELLIPTIC:  # no canonical idele there
+            out.append(canonical_idele(F))
+        out += [random_idele(F, rng) for _ in range(30)]
+        out += [random_idele(F, rng, max_val=9, max_places=6) for _ in range(10)]
+        return out
+
+    def digest(reports):
+        for rep in reports:
+            obj = rep.to_json()
+            del obj["runtime_ms"]
+            h.update(json.dumps(obj, sort_keys=True).encode())
+
+    for F in rr_field_roster():
+        digest(verify_rr(F, al) for al in ideles(F))
+    pairs = relative_pairs() + [(F, F) for F in rr_field_roster()]
+    for L, K in pairs:
+        for al in ideles(L):
+            digest(verify_rr_relative(L, K, al))
+    assert h.hexdigest() == IDENTITY_REPORTS_DIGEST
 
 
 # -- theta internals ------------------------------------------------------------------

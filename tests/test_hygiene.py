@@ -119,6 +119,28 @@ def test_private_cross_module_imports_are_allowed():
     assert found == ALLOWED_PRIVATE_IMPORTS
 
 
+# the constructors of values' exact carriers that other modules may call;
+# each checks and cleans its input (or takes none, or only a float remainder)
+VALIDATING_CONSTRUCTORS = {"one", "prime_power", "from_rational", "of_real"}
+
+
+def test_unchecked_constructor_stays_in_values():
+    # PosRealExact._of wraps exponents unchecked; only values' own
+    # arithmetic, whose operands already hold the invariant, may call it
+    callers, named = set(), set()
+    for path in MODULES + sorted((ROOT / "perfbench").glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(n, ast.Attribute):
+                continue
+            if n.attr == "_of":
+                callers.add(path.stem)
+            elif (isinstance(n.value, ast.Name) and path.stem != "values"
+                    and n.value.id in ("PosRealExact", "LogValue")):
+                named.add(n.attr)
+    assert callers == {"values"}
+    assert named <= VALIDATING_CONSTRUCTORS, named - VALIDATING_CONSTRUCTORS
+
+
 def test_benchmark_span_targets_exist():
     # the traced benchmark names library functions by string; loading its
     # span table (without installing a wrapper) resolves the CACHES entries,

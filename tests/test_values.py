@@ -1,11 +1,12 @@
 import random
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from adelic.globalfields import GlobalFieldDesc, principal_idele
+from adelic.globalfields import INFINITY, Divisor, GlobalFieldDesc, places_above, principal_idele
 from adelic.values import LogValue, PosRealExact, PrimalityUnproven, factorize, is_prime
 
 
@@ -77,25 +78,40 @@ def test_large_integers_are_fast(work):
     assert time.perf_counter() - t < 0.2
 
 
+def is_rational(x):
+    return all(e.denominator == 1 for e in x.exponents.values())
+
+
+def as_fraction(x):
+    """The exact rational value of a PosRealExact; raises if any exponent
+    is fractional."""
+    if not is_rational(x):
+        raise ValueError(f"{x} is irrational")
+    out = Fraction(1)
+    for p, e in x.exponents.items():
+        out *= Fraction(p) ** int(e)
+    return out
+
+
 def test_posreal_from_rational_roundtrip():
     x = PosRealExact.from_rational(Fraction(8, 45))
     assert x.exponents == {2: Fraction(3), 3: Fraction(-2), 5: Fraction(-1)}
-    assert x.as_fraction() == Fraction(8, 45)
+    assert as_fraction(x) == Fraction(8, 45)
 
 
 def test_posreal_mul_pow():
     a = PosRealExact.prime_power(2, Fraction(-3, 2))
     b = PosRealExact.prime_power(2, Fraction(3, 2))
     assert (a * b).is_one()
-    assert (a ** 2).as_fraction() == Fraction(1, 8)
+    assert as_fraction(a ** 2) == Fraction(1, 8)
     assert float(a) == pytest.approx(2 ** -1.5)
 
 
 def test_posreal_irrational_guard():
     a = PosRealExact.prime_power(5, Fraction(1, 2))
-    assert not a.is_rational()
+    assert not is_rational(a)
     with pytest.raises(ValueError):
-        a.as_fraction()
+        as_fraction(a)
 
 
 rationals = st.fractions(
@@ -107,7 +123,7 @@ rationals = st.fractions(
 def test_posreal_mul_is_homomorphic(a, b):
     pa = PosRealExact.from_rational(a)
     pb = PosRealExact.from_rational(b)
-    assert (pa * pb).as_fraction() == a * b
+    assert as_fraction(pa * pb) == a * b
 
 
 @given(rationals, rationals)
@@ -149,13 +165,27 @@ def test_logvalue_json_provenance():
 
 
 def test_exponents_and_scale_factors_must_be_rational():
-    # a float exponent would print as an exact-symbolic binary fraction
-    with pytest.raises(TypeError):
-        LogValue({2: 1}) * 0.1
-    with pytest.raises(TypeError):
-        LogValue({2: 0.1})
-    with pytest.raises(TypeError):
-        PosRealExact({3: 0.1})
+    # a float exponent would print as an exact-symbolic binary fraction; the
+    # arithmetic's unchecked paths take only what these entries let through
+    x = PosRealExact({2: Fraction(1, 3), 5: -2})
+    pl, = places_above(GlobalFieldDesc.rational_function_field(3), INFINITY)
+    for bad in (0.1, 2.0, Decimal("0.5"), 1j, "2"):
+        entries = [
+            lambda: LogValue({2: 1}) * bad,
+            lambda: bad * LogValue({2: 1}),
+            lambda: LogValue({2: bad}),
+            lambda: PosRealExact({3: bad}),
+            lambda: PosRealExact.prime_power(3, bad),
+            lambda: PosRealExact.from_rational(bad),
+            lambda: x ** bad,
+            lambda: PosRealExact.one() ** bad,
+            # a divisor's finite coefficient pairs with log #k_v
+            lambda: Divisor.make(pl.field, {pl: bad}).degree(),
+        ]
+        for i, entry in enumerate(entries):
+            with pytest.raises(TypeError):
+                entry()
+                pytest.fail(f"entry {i} took {bad!r}")
 
 
 prime_maps = st.dictionaries(
@@ -184,3 +214,53 @@ def test_logvalue_is_the_log_of_a_posreal(xm, ym, k, real):
     r = LogValue(y, 0.5) if real else LogValue.of_real(0.0)
     mixed = [x.log() + r, r + x.log(), r * k, -r, x.log() - r]
     assert {v.to_json()["provenance"] for v in mixed} == {"float"}
+
+
+def _stored(x):
+    """The exponents x stores, checked against the invariant."""
+    e = x.exponents
+    assert all(type(c) is Fraction and c != 0 for c in e.values()), e
+    return e
+
+
+@settings(derandomize=True, database=None)
+@given(prime_maps, prime_maps, st.fractions(min_value=-4, max_value=4, max_denominator=6),
+       st.integers(min_value=-5, max_value=5))
+def test_trusted_arithmetic_keeps_the_invariant(xm, ym, k, n):
+    x, y = PosRealExact(xm), PosRealExact(ym)
+    one = PosRealExact.one()
+    # y's first primes cancel x's exactly in x * z
+    zm = {**ym, **{p: -e for p, e in list(xm.items())[:2]}}
+    z = PosRealExact(zm)
+    merged = {p: Fraction(xm.get(p, 0)) + Fraction(zm.get(p, 0)) for p in {**xm, **zm}}
+    assert _stored(x * z) == _stored(PosRealExact(merged))
+    for w in (x * x ** -1, x ** -1 * x, x / x, (x * y) / (y * x), x ** 0, x ** Fraction(0),
+              one ** k, one * one, (x ** k) ** 0):
+        assert w == one and hash(w) == hash(one) and _stored(w) == {} and w.is_one()
+    assert x * one == x == one * x
+    if not x.is_one():  # a product with 1 is the other operand itself
+        assert x * one is x and one * x is x
+    assert x ** -1 == x ** Fraction(-1) == one / x == PosRealExact({p: -e for p, e in xm.items()})
+    assert x ** 0 == x ** Fraction(0) == one
+    for w, ref in ((x ** k, {p: Fraction(e) * k for p, e in xm.items()}),
+                   (x ** n, {p: Fraction(e) * n for p, e in xm.items()}),
+                   (x / y, {p: Fraction(xm.get(p, 0)) - Fraction(ym.get(p, 0))
+                            for p in {**xm, **ym}})):
+        assert _stored(w) == _stored(PosRealExact(ref))
+        assert w == PosRealExact(ref) and hash(w) == hash(PosRealExact(ref))
+
+
+reals = st.one_of(st.none(), st.just(0.0), st.just(-0.0),
+                  st.floats(allow_nan=False, allow_infinity=False))
+
+
+@settings(derandomize=True, database=None)
+@given(prime_maps, prime_maps, reals, reals)
+def test_logvalue_sub_is_add_of_negation(xm, ym, ra, rb):
+    a, b = LogValue(xm, ra), LogValue(ym, rb)
+    d, s = a - b, a + (-b)
+    assert _stored(d._x) == s.coeffs
+    assert d.real.hex() == s.real.hex()  # the same bits, the sign of zero included
+    assert d.to_json() == s.to_json()
+    assert d.to_json()["provenance"] == ("float" if rb is not None or ra is not None
+                                         else "exact-symbolic")
