@@ -233,6 +233,12 @@ class Place:
         return self.splitting == RAMIFIED
 
     def label(self) -> str:
+        return self._label
+
+    @cached_property
+    def _label(self) -> str:
+        """The label, formatted once: it is the sort key of every idele and
+        divisor component."""
         if self.below == INFINITY:
             return f"inf#{self.index}"
         if self.field.is_function_field:
@@ -451,8 +457,8 @@ class Idele:
             if not (math.isfinite(a) and a > 0):
                 raise GlobalFieldError("archimedean components must be finite and positive")
         return Idele(field,
-                     tuple(sorted(finite.items(), key=lambda kv: kv[0].label())),
-                     tuple(sorted(arch.items(), key=lambda kv: kv[0].label())))
+                     tuple(sorted(finite.items(), key=lambda kv: kv[0]._label)),
+                     tuple(sorted(arch.items(), key=lambda kv: kv[0]._label)))
 
     @staticmethod
     def trivial(field: GlobalFieldDesc) -> "Idele":
@@ -500,7 +506,7 @@ class Divisor:
     def make(field: GlobalFieldDesc, coeffs: Dict[Place, object]) -> "Divisor":
         cleaned = {pl: c for pl, c in coeffs.items() if c != 0}
         return Divisor(field, tuple(sorted(cleaned.items(),
-                                           key=lambda kv: kv[0].label())))
+                                           key=lambda kv: kv[0]._label)))
 
     @property
     def coeffs(self) -> Dict[Place, object]:

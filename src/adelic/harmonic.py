@@ -16,7 +16,8 @@ Step-function tables likewise never store a zero value.
 
 The transform (:func:`fourier`) runs one pass per digit position, summing
 out one input digit against the output digits it meets, over a table with
-one entry per coset.  Inside it a value's coefficients are packed into one
+one entry per coset; :func:`verify_inversion` runs both transforms' passes
+over one such table.  Inside, a value's coefficients are packed into one
 int, the numerators over a common denominator in fixed-width slots modulo
 2^(wD) - 1 (zeta_D -> 2^w), so that a root of unity is a shift; each output
 coset is unpacked once into the integer form above.
@@ -148,11 +149,13 @@ class CycScalar:
 
     @classmethod
     def zero(cls, p: int) -> "CycScalar":
-        return cls(p, {})
+        return cls.rational(p, 0)
 
     @classmethod
     def rational(cls, p: int, q) -> "CycScalar":
-        return cls(p, {0: q})
+        q = exact_rational(q)  # canonical as it stands: D = 1, den = q.denominator
+        return cls._make(p, 1, {0: q.numerator} if q else {}, q.denominator,
+                         PosRealExact.one())
 
     @classmethod
     def from_posreal(cls, p: int, m: PosRealExact) -> "CycScalar":
@@ -382,11 +385,11 @@ def transform_shape(field: LocalFieldDesc, M: int, N: int) -> Tuple[int, int]:
 
 @lru_cache(maxsize=256)
 def _digit_plan(field: LocalFieldDesc, n: int):
-    """(Dk, diag, twiddles): the shape-only angles, times Dk, of an n-digit
-    transform.  pair[q][a][b] is the angle of chi(-lift(a) lift(b)
+    """(Dk, diag, twiddles, reversal): the shape-only data of an n-digit
+    transform.  pair[q][a][b] is Dk times the angle of chi(-lift(a) lift(b)
     pi^(-d-1-q)), symmetric in a and b, and diag = pair[0]; twiddles[t][P][b]
     is the sum over k < t of pair[t - k][a_k][b] for the output digits
-    P = (a_0, ..., a_(t-1)), indexed in product order."""
+    P = (a_0, ..., a_(t-1)), in product order, which reversal reverses."""
     d = field.different_exponent
     reps = field.residue_reps()
     kernels = [_kernel_angles(field, -d - 1 - q) for q in range(n)]
@@ -404,8 +407,10 @@ def _digit_plan(field: LocalFieldDesc, n: int):
         for k in range(t):
             tw = [[x + y for x, y in zip(row, col)] for row in tw for col in pair[t - k]]
         twiddles.append(tuple(tuple(x % Dk for x in row) for row in tw))
+    reversal = tuple(sum(x * len(reps) ** j for j, x in enumerate(ds))
+                     for ds in itertools.product(range(len(reps)), repeat=n))
     # tuples: the cache hands one result to every caller
-    return Dk, tuple(map(tuple, pair[0])) if n else (), tuple(twiddles)
+    return Dk, tuple(map(tuple, pair[0])) if n else (), tuple(twiddles), reversal
 
 
 @lru_cache(maxsize=256)
@@ -419,16 +424,25 @@ def fourier(f: StepFunction) -> StepFunction:
     """The Fourier transform integral f(y) chi(-x y) dy, exactly.
 
     Linear in f; on indicators it reproduces the closed form
-    (#k)^(-m) mu(O) * indicator(-m - d).
+    (#k)^(-m) mu(O) * indicator(-m - d).  Computed by _transform, whose
+    packed digit passes verify_inversion runs twice over one table.
+    """
+    return _transform(f, twice=False)
+
+
+def _transform(f: StepFunction, twice: bool) -> StepFunction:
+    """fourier(f), or fourier(fourier(f)) when ``twice``: one pack, one decode.
 
     Number the n = M + N output digits a_k from the shallowest and the input
     digits b_l from the deepest.  The angle of chi(-x y) is the sum over k, l
     of a_k^T K(-d - 1 + k - l) b_l (K from _kernel_angles), which vanishes
     for l < k, where chi is trivial.  So pass t sums out b_t against
     a_0..a_t, Cooley-Tukey on the digit filtration, over a table of one
-    entry per coset: each pass reads b_t as its most significant digit and
-    appends a_t as its least, so the outputs end in product order, and
-    skips zero entries, so a sparse input costs little until the table fills.
+    entry per coset.  The table is packed in product order and digit-reversed
+    before each transform, so pass t reads b_t as its most significant digit
+    and appends a_t as its least, and the outputs end in product order; zero
+    entries are skipped, so a sparse input costs little until the table fills.
+    Twice, the second transform runs at the first's output level and residual.
 
     A value is one int modulo 2^(wD) - 1 with coefficient c_m in slot m of
     w bits (zeta_D -> 2^w): times zeta^j is a shift by w j and a fold.
@@ -436,46 +450,48 @@ def fourier(f: StepFunction) -> StepFunction:
     its slots decode once.  A coefficient there is the difference of two
     slots, each a signed sum of scaled input coefficients, so it stays
     within their l1 norm, and with 2^(w-1) above that norm the biased slots
-    decode exactly.
+    decode exactly.  Twice, the slots of each of the R^n middle values sum to
+    at most num1 l1, l1 the input's norm, so w comes from num1 num2 R^n l1;
+    never from the expected f(-x), which would assume the identity checked.
     """
-    field, p = f.field, f.field.p
-    n = f.length
+    field, p, n = f.field, f.field.p, f.length
     reps = field.residue_reps()
     R = len(reps)
-    Dk, diag, twiddles = _digit_plan(field, n)
+    Dk, diag, twiddles, reversal = _digit_plan(field, n)
     vals = f.values
     D = math.lcm(p, Dk, *(v.D for v in vals.values()))
     L = math.lcm(1, *(v.den for v in vals.values()))
-    # the rational part of mf * mu scales every input coefficient
-    num, den, residual = _transform_scale(field, f.level, f.measure_factor)
-    den *= L
-    l1 = num * sum(L // v.den * sum(map(abs, v.coeffs.values())) for v in vals.values())
-    w = l1.bit_length() + 1
+    num, den, residual, shape = 1, L, f.measure_factor, (f.support_bound, f.level)
+    for _ in range(1 + twice):  # the rational part of each mf * mu scales the input
+        k, h, residual = _transform_scale(field, shape[1], residual)
+        num, den, shape = num * k, den * h, transform_shape(field, *shape)
+    l1 = sum(L // v.den * sum(map(abs, v.coeffs.values())) for v in vals.values())
+    w = (num * R ** (n * twice) * l1).bit_length() + 1
     wD = w * D
     mod = (1 << wD) - 1
     T = [0] * R ** n
     for yvec, v in vals.items():
-        i = 0
-        for dg in reversed(yvec):
-            i = i * R + reps.index(dg)
+        i = sum(reps.index(dg) * R ** k for k, dg in enumerate(reversed(yvec)))
         ws = w * (D // v.D)
         T[i] = L // v.den * num * sum(c << ws * m for m, c in v.coeffs.items()) % mod
 
     H = R ** n // R
     s = w * (D // Dk)  # bits per angle unit 1/Dk
     diag = [[s * x for x in row] for row in diag]
-    for tw in twiddles:
-        stride = len(tw)
-        new = [0] * len(T)
-        for i, x in enumerate(T):
-            if x:
-                b, rest = divmod(i, H)
-                x = (x & mod) + (x >> wD)
-                u = s * tw[rest % stride][b]
-                base = rest * R
-                for a, sh in enumerate(diag[b]):
-                    new[base + a] += x << (u + sh) % wD
-        T = new
+    for _ in range(1 + twice):
+        T = [T[i] for i in reversal]
+        for tw in twiddles:
+            stride = len(tw)
+            new = [0] * len(T)
+            for i, x in enumerate(T):
+                if x:
+                    b, rest = divmod(i, H)
+                    x = (x & mod) + (x >> wD)
+                    u = s * tw[rest % stride][b]
+                    base = rest * R
+                    for a, sh in enumerate(diag[b]):
+                        new[base + a] += x << (u + sh) % wD
+            T = new
 
     # modulo Phi_D(2^w), D >= p, a value lands in the power basis of
     # Q(zeta_D), its exponents below B = (p-1)D/p, so a zero value is 0
@@ -488,12 +504,9 @@ def fourier(f: StepFunction) -> StepFunction:
     for xvec, v in zip(itertools.product(reps, repeat=n), T):
         z = (v + bias) % phi
         if z != bias:
-            work = {}
-            for m in range(B):
-                if c := (z >> w * m & slot) - half:
-                    work[m] = c
+            work = {m: c for m in range(B) if (c := (z >> w * m & slot) - half)}
             out_values[xvec] = CycScalar._make(p, *_normalize(p, D, work, den), residual)
-    return StepFunction(field, *transform_shape(field, f.support_bound, f.level), out_values)
+    return StepFunction(field, *shape, out_values)
 
 
 @lru_cache(maxsize=200_000)
@@ -525,11 +538,11 @@ def verify_inversion(f: StepFunction,
                      double_transform: StepFunction | None = None) -> InversionReport:
     """Check f(xi) = f^^(-xi) pointwise as exact scalars.
 
-    ``double_transform`` overrides the computed double transform (used by
-    negative controls) and must have f's shape, like fourier(fourier(f)).
+    f^^ is fourier(fourier(f)), made by _transform in one packed table;
+    ``double_transform`` replaces it (negative controls) and needs f's shape.
     """
     field = f.field
-    g = double_transform if double_transform is not None else fourier(fourier(f))
+    g = double_transform if double_transform is not None else _transform(f, twice=True)
     if (g.support_bound, g.level) != (f.support_bound, f.level):
         raise HarmonicError(f"double transform has shape {(g.support_bound, g.level)}, "
                             f"not {(f.support_bound, f.level)}")

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Dict, Tuple, Union
 
 from .values import InvariantError, PosRealExact, is_prime
@@ -196,6 +196,19 @@ class LocalFieldDesc:
     disc_exponent: int = dc_field(compare=False)
     uniformizer_coords: Tuple[Scalar, Scalar] = dc_field(compare=False)
     ram_root: int = dc_field(compare=False)  # residue of theta if ramified, else 0
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.p, self.base_kind, self.poly))
+
+    def __hash__(self) -> int:
+        # every field-keyed cache lookup hashes the descriptor: hash poly's
+        # Fractions once per descriptor, not once per lookup
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # a str hashes differently in another process
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     @property
     def residue_card(self) -> int:

@@ -121,6 +121,7 @@ def test_place_invariants_follow_from_defining_data(field, below, expected):
                 pl.e_v
             e_v = None
         got.append((pl.label(), pl.is_archimedean(), e_v, pl.e, pl.f))
+        assert pl.label() is pl.label()  # formatted once: it is a sort key
     assert got == expected
 
 

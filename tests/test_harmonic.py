@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from adelic.harmonic import (
     CycScalar,
     HarmonicError,
     StepFunction,
+    _transform,
     character_coset_integral,
     coset_measure,
     fourier,
@@ -218,6 +220,23 @@ def test_floats_refused_where_exact_rationals_are_built():
                   lambda: CycScalar(2, {0: 0.5})):
         with pytest.raises(TypeError):
             build()
+
+
+def test_cyc_rational_is_the_general_constructor():
+    # zero and rational build the canonical form directly, field for field
+    # what the general constructor builds from {0: q}
+    rng = random.Random(7)
+    qs = [0, 1, -7, True, Fraction(0), Fraction(-3, 4)]
+    qs += [Fraction(rng.randint(-10 ** 30, 10 ** 30), rng.randint(1, 10 ** 6)) for _ in range(300)]
+    for p in (2, 3, 5):
+        for x, y in [(CycScalar.zero(p), CycScalar(p, {}))] + \
+                [(CycScalar.rational(p, q), CycScalar(p, {0: q})) for q in qs]:
+            assert (x.p, x.D, x.coeffs, x.den, x.measure_factor) == \
+                (y.p, y.D, y.coeffs, y.den, y.measure_factor)
+            assert all(type(c) is int for c in x.coeffs.values()) and type(x.den) is int
+    for bad in (0.5, 2.0, Decimal("0.5"), 1j, complex(2, 0)):
+        with pytest.raises(TypeError):
+            CycScalar.rational(3, bad)
 
 
 def test_cyc_incompatible_scalars_only_equal_when_zero():
@@ -582,6 +601,32 @@ def test_fourier_refinement_invariant_at_benchmark_size():
         for g in (f, fourier(f)):
             refined = g.refine(g.support_bound + 1, g.level + 1)
             assert fourier(refined).equals(fourier(g)), K.describe()
+
+
+def test_double_transform_is_two_transforms():
+    # verify_inversion's double transform runs both transforms' digit passes
+    # over one packed table, with the slot width from an a-priori bound; it
+    # equals two single transforms field for field, coset order included,
+    # on sparse and dense inputs (coefficients up to 10^30, all three signs),
+    # on transforms and on the zero function
+    for K in dict.fromkeys(ORACLE_FIELDS + local_field_roster((2, 3, 5))):
+        rng = random.Random(K.describe())
+        shapes = [(M, N) for M in range(-1, 3) for N in range(-1, 3)
+                  if M + N >= 0 and K.residue_card ** (M + N) <= 27]
+        functions = [StepFunction(K, 1, 0, {})]
+        functions += [random_cyc_step_function(K, rng, M, N) for M, N in shapes]
+        functions += [dense_cyc_step_function(K, rng, M, N, sign)
+                      for M, N in shapes for sign in (0, 1, -1)]
+        functions += [fourier(f) for f in functions]
+        for f in functions:
+            want, got = fourier(fourier(f)), _transform(f, twice=True)
+            where = (K.describe(), f.support_bound, f.level)
+            assert (got.support_bound, got.level) == (want.support_bound, want.level), where
+            assert list(got.values) == list(want.values), where
+            for k, v in want.values.items():
+                u = got.values[k]
+                assert (u.D, list(u.coeffs.items()), u.den, u.measure_factor) == \
+                    (v.D, list(v.coeffs.items()), v.den, v.measure_factor), where
 
 
 # sha256 of the JSON of the transforms below, recorded when every scalar was

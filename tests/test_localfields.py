@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -289,6 +290,11 @@ def test_descriptor_equality_is_p_base_and_polynomial():
         K1 = quadratic_extension(base_field(p, kind), b, c)
         K2 = quadratic_extension(base_field(p, kind), b, c)
         assert K1 is not K2 and K1 == K2 and hash(K1) == hash(K2)
+        assert hash(K1) == hash((K1.p, K1.base_kind, K1.poly))
+        # the hash is computed once per descriptor, and a str hashes
+        # differently in another process, so a pickled copy recomputes it
+        copy = pickle.loads(pickle.dumps(K1))
+        assert "_hash" not in copy.__dict__ and copy == K1 and hash(copy) == hash(K1)
         assert dataclasses.replace(K1, ram_root=1, uniformizer_coords=None) == K1
     assert quadratic_extension(Qp(3), 0, -3) != quadratic_extension(Qp(3), 0, -6)
     assert quadratic_extension(Qp(3), 0, -3) != base_field(3)
