@@ -10,12 +10,15 @@ derived from the fundamental quotient-integral relation as h0 - chi.
 On number fields h0 sums on the sparser side of the Poisson identity
 h0(alpha) = chi(alpha) + h0(alpha^-1 kappa) (Tate's thesis; van der
 Geer-Schoof 2000): when chi(alpha) > 0 the direct lattice is dense and
-the dual one sparse, so h0 is chi(alpha) plus the theta sum at
-alpha^-1 kappa; otherwise alpha is summed directly.  On a sample of
-ideles up to log-norm 12 the dual side never needed more than 49 points
-where the direct side needed up to 8.8 million.  Serre duality and
-Poisson summation are the identities this route rests on, so their
-checks sum both of their sides directly.
+the dual one sparse, so h0 is chi(alpha) plus the theta sum over E^-T,
+the dual of alpha's own sections lattice E, which is the lattice of
+alpha^-1 kappa; otherwise alpha is summed directly.  chi is then taken in
+floats from the lattice's scales, and no dual idele is built
+(theta.theta_log_for_idele).  On a sample of ideles up to log-norm 12 the
+dual side never needed more than 49 points where the direct side needed
+up to 8.8 million.  Serre duality and Poisson summation are the
+identities this route rests on, so their checks sum both of their sides
+directly, each on its own idele's lattice (theta.theta_log_direct).
 
 The verification routines check, each by two independent routes:
 
@@ -60,7 +63,7 @@ from .globalfields import (
     ramified_finite_places,
     relative_discriminant_norm,
 )
-from .theta import RadiusExceeded, theta_log_for_idele
+from .theta import RadiusExceeded, theta_log_direct, theta_log_for_idele
 from .values import LogValue
 
 __all__ = [
@@ -153,10 +156,10 @@ def h0(field: GlobalFieldDesc, alpha: Idele,
     Number fields: a certified lattice theta sum (float remainder), taken
     on the sparser side of the Poisson identity
     h0(alpha) = chi(alpha) + h0(alpha^-1 kappa).  When chi(alpha) > 0 the
-    sections lattice of alpha is dense (up to ~10^7 points in the box) and
-    that of alpha^-1 kappa, whose chi is -chi(alpha), is sparse (tens of
-    points), so h0 is chi(alpha) plus the dual sum; otherwise alpha is
-    summed directly.
+    sections lattice E of alpha is dense (up to ~10^7 points in the box)
+    and its dual E^-T, the lattice of alpha^-1 kappa, whose chi is
+    -chi(alpha), is sparse (tens of points), so h0 is chi(alpha), in
+    floats, plus the sum over E^-T; otherwise alpha is summed directly.
     F_q(t): exact, max(0, deg D + 1) * log q.
     """
     return h0_with_count(field, alpha, params)[0]
@@ -165,12 +168,10 @@ def h0(field: GlobalFieldDesc, alpha: Idele,
 def h0_with_count(field: GlobalFieldDesc, alpha: Idele,
                   params: ThetaParams) -> tuple[LogValue, int]:
     """h0 and the number of lattice points summed for it (0 off the theta route)."""
-    if field.kind in (RATIONAL, QUADRATIC):
-        c = float(chi(field, alpha))  # raises on an idele of another field
-        if c > 0.0:
-            dual, n = _h0_direct(field, alpha.inv() * canonical_idele(field), params)
-            return LogValue.of_real(c + float(dual)), n
-    return _h0_direct(field, alpha, params)
+    if field.kind not in (RATIONAL, QUADRATIC) or alpha.field != field:
+        return _h0_direct(field, alpha, params)  # raises on an idele of another field
+    lt, n = theta_log_for_idele(alpha, params.tolerance, params.max_radius)
+    return LogValue.of_real(lt), n
 
 
 def _h0_direct(field: GlobalFieldDesc, alpha: Idele,
@@ -181,7 +182,7 @@ def _h0_direct(field: GlobalFieldDesc, alpha: Idele,
     if alpha.field != field:
         raise UnsupportedField("idele belongs to a different field")
     if field.kind in (RATIONAL, QUADRATIC):
-        lt, n = theta_log_for_idele(alpha, params.tolerance, params.max_radius)
+        lt, n = theta_log_direct(alpha, params.tolerance, params.max_radius)
         return LogValue.of_real(lt), n
     if field.kind == RATFUNC:
         deg = divisor_of_idele(alpha).finite_degree()
@@ -299,7 +300,7 @@ def verify_poisson(field: GlobalFieldDesc, alpha: Idele,
         raise UnsupportedField("poisson verification needs theta support")
     start = time.perf_counter()
     kappa = canonical_idele(field)
-    const = relative_discriminant_norm(field, field.prime_field).log() * Fraction(-1, 2)
+    const = _chi_of_one(field, field.prime_field)
     lhs_h0, n1 = _h0_direct(field, alpha * kappa, params)
     lhs = const - idele_log_norm(alpha) + lhs_h0
     rhs, n2 = _h0_direct(field, alpha.inv(), params)

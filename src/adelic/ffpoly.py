@@ -127,13 +127,6 @@ class GF:
             return 0
         return self._pow(a, n)
 
-    def is_square(self, a: int) -> bool:
-        """Euler criterion; q must be odd for a != 0 to be meaningful."""
-        if a == 0:
-            return True
-        if self.p == 2:
-            return True  # squaring is a bijection in characteristic 2
-        return self.pow(a, (self.q - 1) // 2) == 1
 
 
 @lru_cache(maxsize=None)

@@ -547,18 +547,6 @@ def divisor_of_idele(alpha: Idele) -> Divisor:
     return Divisor.make(alpha.field, coeffs)
 
 
-def idele_from_divisor(div: Divisor) -> Idele:
-    """A preimage of a divisor under divisor_of_idele (witnesses surjectivity)."""
-    fin: Dict[Place, int] = {}
-    arch: Dict[Place, float] = {}
-    for pl, c in div.coefficients:
-        if pl.is_archimedean():
-            arch[pl] = math.exp(float(c) / pl.e_v)
-        else:
-            fin[pl] = -int(c)
-    return Idele.make(div.field, fin, arch)
-
-
 def idele_log_norm(alpha: Idele) -> LogValue:
     """log |alpha| = sum_v log|alpha_v|_v, exact at the finite places."""
     exps, real = {}, None

@@ -326,14 +326,6 @@ def coset_measure(field: LocalFieldDesc, level: int) -> PosRealExact:
     return PosRealExact.prime_power(field.p, -field.f * level) * local_measure(field)
 
 
-def integrate(f: StepFunction) -> CycScalar:
-    """Exact integral: sum of coset values weighted by the coset measure."""
-    total = CycScalar.zero(f.field.p)
-    for v in f.values.values():
-        total = total + v
-    return total.scale_measure(coset_measure(f.field, f.level))
-
-
 def character_coset_integral(field: LocalFieldDesc, m: int) -> CycScalar:
     """The integral of the standard character over pi^m O_v.
 

@@ -499,12 +499,6 @@ class LocalElement:
         return cls(field, (_scalar(field, Fraction(q)), _szero(field)))
 
     @classmethod
-    def from_laurent(cls, field: LocalFieldDesc, terms: Dict[int, int]) -> "LocalElement":
-        if field.base_kind != LAURENT:
-            raise WrongBase("Laurent data over a p-adic base")
-        return cls(field, (LaurentScalar.make(field.p, terms), _szero(field)))
-
-    @classmethod
     def from_coords(cls, field: LocalFieldDesc, c0, c1=0) -> "LocalElement":
         return cls(field, (_scalar(field, c0), _scalar(field, c1)))
 

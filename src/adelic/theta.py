@@ -30,6 +30,24 @@ G = E^T E is at most covol^(2/n), covol = sqrt|d_K| / |alpha|, and if the
 certified box at that cap passes max_radius, so does the true one.  A
 lattice that is neither, but whose basis leaves double range, is refused.
 
+theta_log_for_idele sums on the sparser side of Poisson summation (Tate's
+thesis, section 4; van der Geer-Schoof 2000):
+
+    sum_x exp(-pi ||E x||^2) = (1 / |det E|) sum_y exp(-pi ||E^-T y||^2),
+
+where |det E| = sqrt|d_K| / |alpha| = e^-chi, chi = log |alpha| -
+1/2 log |d_K| taken in floats from the plan's scales.  E^-T spans the
+sections lattice of kappa alpha^-1 (kappa the canonical idele) up to a
+rotation.  When chi > 0, E is dense and E^-T sparse, and the sum is
+chi + log theta(E^-T), with E^-T = e^chi adj(E)^T built from alpha's own
+rows: no dual idele, no second plan and no determinant in floats.  The
+dual side settles its extremes as above with log |kappa alpha^-1| =
+log |d_K| - log |alpha| (at the sparse exit the sum is chi; the box search
+starts at the cap with covol = |alpha| / sqrt|d_K|), and the eigenvalue
+bound of the reduced E^-T certifies its tail.  theta_log_direct always
+sums E itself: the identity checks use it, so that neither side of
+Poisson summation or Serre duality is derived from the other.
+
 The set-up of a sum works on at most four numbers, so it runs in Python
 floats: Lagrange reduction of the basis and a lower bound on the smallest
 eigenvalue of G, det(E)^2 / lam_max on the reduced basis.  numpy evaluates
@@ -284,8 +302,21 @@ def theta_log_sum(rows: Sequence[Sequence[float]], tol: float, max_radius: float
     return math.log(total), points
 
 
-def theta_log_for_idele(alpha: Idele, tol: float, max_radius: float) -> Tuple[float, int]:
-    """log sum over global sections of the Gaussian weights of an idele."""
+def _dual(rows: Sequence[Sequence[float]], chi: float) -> List[List[float]]:
+    """Rows of E^-T = adj(E)^T / det E: the columns of E turned by a right
+    angle and swapped, times 1 / |det E| = e^chi (the sign of det E does
+    not change the lattice)."""
+    k = math.exp(chi)
+    if len(rows) == 1:
+        return [[k]]
+    (u0, v0), (u1, v1) = rows
+    return [[v1 * k, -u1 * k], [-v0 * k, u0 * k]]
+
+
+def _theta_log(alpha: Idele, tol: float, max_radius: float,
+               sparser: bool) -> Tuple[float, int]:
+    """(log theta, points) of alpha's sections lattice E, summed on E or,
+    with ``sparser`` and chi > 0, as chi + log theta(E^-T)."""
     field = alpha.field
     if field.kind not in (RATIONAL, QUADRATIC):
         raise GlobalFieldError(f"no theta lattice for {field.describe()}")
@@ -296,12 +327,17 @@ def theta_log_for_idele(alpha: Idele, tol: float, max_radius: float) -> Tuple[fl
     for p, k, j, _ in plan:
         log_norm -= (n * k + j) * math.log(p)
         log_cn += (k + j) * math.log(p)
-    log_m0 = math.log(2.0) - log_norm if n == 2 else -2.0 * log_norm
+    half_log_d = 0.5 * math.log(abs(field.disc))
+    chi = log_norm - half_log_d
+    dual = sparser and chi > 0.0
+    side = -chi if dual else chi  # chi of the summed lattice: chi(kappa alpha^-1) = -chi
+    log_m0 = math.log(2.0) - side - half_log_d if n == 2 else -2.0 * side
     if log_m0 >= 20.0:  # exp(-pi e^20) is 0.0: every nonzero weight underflows
-        return 0.0, 1
-    # a cap that underflows stands for any smaller positive one; every box
-    # below the cap's also misses too much at the true eigenvalue
-    lam_cap = math.exp((0.5 * math.log(abs(field.disc)) - log_norm) * 2 / n)
+        return (chi if dual else 0.0), 1
+    # the cap is covol^(2/n), covol = e^-side; a cap that underflows stands
+    # for any smaller positive one, and every box below the cap's also misses
+    # too much at the true eigenvalue
+    lam_cap = math.exp(-side * 2 / n)
     start = certified_box(max(lam_cap, sys.float_info.min), n, tol * 0.25, max_radius)
     if log_cn > math.log(sys.float_info.max) - 1.0:
         raise GlobalFieldError("the sections lattice leaves double range (a skewed idele "
@@ -312,4 +348,18 @@ def theta_log_for_idele(alpha: Idele, tol: float, max_radius: float) -> Tuple[fl
         rows = [[num / den / alpha.arch.get(pl, 1.0)]]
     else:
         rows = _rows(field, _ideal(field, plan), alpha.arch)
-    return theta_log_sum(rows, tol, max_radius, start)
+    if not dual:
+        return theta_log_sum(rows, tol, max_radius, start)
+    lt, points = theta_log_sum(_dual(rows, chi), tol, max_radius, start)
+    return chi + lt, points
+
+
+def theta_log_for_idele(alpha: Idele, tol: float, max_radius: float) -> Tuple[float, int]:
+    """(log sum over global sections of the Gaussian weights of an idele,
+    lattice points evaluated), on the sparser side of Poisson summation."""
+    return _theta_log(alpha, tol, max_radius, sparser=True)
+
+
+def theta_log_direct(alpha: Idele, tol: float, max_radius: float) -> Tuple[float, int]:
+    """theta_log_for_idele summed on alpha's own lattice E, never on E^-T."""
+    return _theta_log(alpha, tol, max_radius, sparser=False)

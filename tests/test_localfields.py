@@ -10,6 +10,7 @@ from adelic.localfields import (
     LAURENT,
     P_ADIC,
     InvalidDefiningPolynomial,
+    LaurentScalar,
     LocalElement,
     UnitAngle,
     WrongBase,
@@ -36,12 +37,17 @@ def Fpt(p):
     return base_field(p, LAURENT)
 
 
+def from_laurent(field, terms):
+    """The element sum c t^e, {e: c} = terms, of a field over F_p((t))."""
+    return LocalElement.from_coords(field, LaurentScalar.make(field.p, terms))
+
+
 # -- valuations ---------------------------------------------------------------
 
 
 def test_valuation_of_uniformizers():
     assert valuation(LocalElement.from_rational(Qp(7), 7)) == 1
-    assert valuation(LocalElement.from_laurent(Fpt(3), {-1: 1})) == -1
+    assert valuation(from_laurent(Fpt(3), {-1: 1})) == -1
 
 
 def test_valuation_eisenstein_rescaling():
@@ -70,7 +76,7 @@ def test_valuation_additive_random():
                 def rand_elt():
                     terms = {rng.randint(-3, 4): rng.randint(0, K.p - 1)
                              for _ in range(3)}
-                    return LocalElement.from_laurent(K, terms)
+                    return from_laurent(K, terms)
             x, y = rand_elt(), rand_elt()
             if x.is_zero() or y.is_zero():
                 continue
@@ -92,7 +98,7 @@ def test_abs_value_examples():
     assert abs_value(LocalElement.from_rational(Qp(2), 4)) == \
         PosRealExact.prime_power(2, -2)
     K = quadratic_extension(Fpt(2), 1, 1)  # residue field F_4
-    t2 = LocalElement.from_laurent(K, {2: 1})
+    t2 = from_laurent(K, {2: 1})
     assert valuation(t2) == 2
     assert abs_value(t2) == PosRealExact.prime_power(2, -4)  # 4^-2
     assert abs_value(LocalElement.one(Qp(13))).is_one()
@@ -132,7 +138,7 @@ def test_lambda_well_defined_mod_integers():
 
 def test_lambda_wrong_base():
     with pytest.raises(WrongBase):
-        lambda_fractional(LocalElement.from_laurent(Fpt(3), {0: 1}))
+        lambda_fractional(from_laurent(Fpt(3), {0: 1}))
     with pytest.raises(WrongBase):
         lambda_fractional(LocalElement.one(quadratic_extension(Qp(3), 0, -2)))
 
@@ -140,11 +146,11 @@ def test_lambda_wrong_base():
 def test_residue_coefficient_angle_examples():
     K = Fpt(3)
     assert residue_coefficient_angle(
-        LocalElement.from_laurent(K, {-1: 2})) == UnitAngle.make(Fraction(2, 3))
+        from_laurent(K, {-1: 2})) == UnitAngle.make(Fraction(2, 3))
     assert residue_coefficient_angle(
-        LocalElement.from_laurent(K, {0: 1, 1: 1})).is_zero()
+        from_laurent(K, {0: 1, 1: 1})).is_zero()
     assert residue_coefficient_angle(
-        LocalElement.from_laurent(K, {-2: 1})).is_zero()
+        from_laurent(K, {-2: 1})).is_zero()
     with pytest.raises(WrongBase):
         residue_coefficient_angle(LocalElement.from_rational(Qp(3), 1))
 
@@ -191,7 +197,7 @@ def test_character_examples():
             assert standard_character(x).is_zero()
     ang = standard_character(LocalElement.from_rational(Qp(2), Fraction(1, 2)))
     assert ang == UnitAngle.make(Fraction(1, 2))
-    ang = standard_character(LocalElement.from_laurent(Fpt(2), {-1: 1}))
+    ang = standard_character(from_laurent(Fpt(2), {-1: 1}))
     assert ang == UnitAngle.make(Fraction(1, 2))
 
 
