@@ -16,11 +16,12 @@ Step-function tables likewise never store a zero value.
 
 The transform (:func:`fourier`) runs one pass per digit position, summing
 out one input digit against the output digits it meets, over a table with
-one entry per coset; :func:`verify_inversion` runs both transforms' passes
-over one such table.  Inside, a value's coefficients are packed into one
-int, the numerators over a common denominator in fixed-width slots modulo
-2^(wD) - 1 (zeta_D -> 2^w), so that a root of unity is a shift; each output
-coset is unpacked once into the integer form above.
+one entry per coset; :func:`verify_inversion` runs its passes and then the
+inverse's, with the conjugate character, over one such table.  Inside, a
+value's coefficients are packed into one int, the numerators over a common
+denominator in fixed-width slots modulo 2^(wD) - 1 (zeta_D -> 2^w), so that
+a root of unity is a shift; each output coset is unpacked once into the
+integer form above.
 
 Every measure here is a half-integral power of p, and a transform maps a
 function whose values share one measure factor to another such function.
@@ -417,13 +418,13 @@ def fourier(f: StepFunction) -> StepFunction:
 
     Linear in f; on indicators it reproduces the closed form
     (#k)^(-m) mu(O) * indicator(-m - d).  Computed by _transform, whose
-    packed digit passes verify_inversion runs twice over one table.
+    packed digit passes verify_inversion follows with the inverse's.
     """
     return _transform(f, twice=False)
 
 
 def _transform(f: StepFunction, twice: bool) -> StepFunction:
-    """fourier(f), or fourier(fourier(f)) when ``twice``: one pack, one decode.
+    """fourier(f), or F^-1(fourier(f)) when ``twice``: one pack, one decode.
 
     Number the n = M + N output digits a_k from the shallowest and the input
     digits b_l from the deepest.  The angle of chi(-x y) is the sum over k, l
@@ -434,7 +435,7 @@ def _transform(f: StepFunction, twice: bool) -> StepFunction:
     before each transform, so pass t reads b_t as its most significant digit
     and appends a_t as its least, and the outputs end in product order; zero
     entries are skipped, so a sparse input costs little until the table fills.
-    Twice, the second transform runs at the first's output level and residual.
+    Twice, F^-1 follows at the first's level and residual, its shifts negated.
 
     A value is one int modulo 2^(wD) - 1 with coefficient c_m in slot m of
     w bits (zeta_D -> 2^w): times zeta^j is a shift by w j and a fold.
@@ -444,7 +445,7 @@ def _transform(f: StepFunction, twice: bool) -> StepFunction:
     within their l1 norm, and with 2^(w-1) above that norm the biased slots
     decode exactly.  Twice, the slots of each of the R^n middle values sum to
     at most num1 l1, l1 the input's norm, so w comes from num1 num2 R^n l1;
-    never from the expected f(-x), which would assume the identity checked.
+    never from the expected f, which would assume the identity checked.
     """
     field, p, n = f.field, f.field.p, f.length
     reps = field.residue_reps()
@@ -468,9 +469,9 @@ def _transform(f: StepFunction, twice: bool) -> StepFunction:
         T[i] = L // v.den * num * sum(c << ws * m for m, c in v.coeffs.items()) % mod
 
     H = R ** n // R
-    s = w * (D // Dk)  # bits per angle unit 1/Dk
-    diag = [[s * x for x in row] for row in diag]
-    for _ in range(1 + twice):
+    for sgn in (1, -1)[:1 + twice]:  # F, then F^-1 with the kernel chi(+x y)
+        s = sgn * w * (D // Dk)  # signed bits per angle unit 1/Dk
+        sdiag = [[s * x for x in row] for row in diag]
         T = [T[i] for i in reversal]
         for tw in twiddles:
             stride = len(tw)
@@ -481,7 +482,7 @@ def _transform(f: StepFunction, twice: bool) -> StepFunction:
                     x = (x & mod) + (x >> wD)
                     u = s * tw[rest % stride][b]
                     base = rest * R
-                    for a, sh in enumerate(diag[b]):
+                    for a, sh in enumerate(sdiag[b]):
                         new[base + a] += x << (u + sh) % wD
             T = new
 
@@ -503,7 +504,8 @@ def _transform(f: StepFunction, twice: bool) -> StepFunction:
 
 @lru_cache(maxsize=200_000)
 def negate_coset(field: LocalFieldDesc, start: int, vec: DigitVec) -> DigitVec:
-    """Digit vector of the negative of a coset representative."""
+    """Digit vector of the negative of a coset representative: the tests'
+    reflection oracle for f^^(x) = f(-x), and a cache perfbench's spans name."""
     return negate_digits(field, start, vec)
 
 
@@ -528,27 +530,24 @@ class InversionReport:
 
 def verify_inversion(f: StepFunction,
                      double_transform: StepFunction | None = None) -> InversionReport:
-    """Check f(xi) = f^^(-xi) pointwise as exact scalars.
+    """Check F^-1(F f) = f pointwise as exact scalars, on f's own table.
 
-    f^^ is fourier(fourier(f)), made by _transform in one packed table;
-    ``double_transform`` replaces it (negative controls) and needs f's shape.
+    F^-1 uses the conjugate character chi(+x y), so this is Tate's inversion
+    f^^(x) = f(-x) with no coset negated; ``double_transform`` replaces the
+    round trip made by _transform (negative controls) and needs f's shape.
     """
-    field = f.field
     g = double_transform if double_transform is not None else _transform(f, twice=True)
     if (g.support_bound, g.level) != (f.support_bound, f.level):
         raise HarmonicError(f"double transform has shape {(g.support_bound, g.level)}, "
                             f"not {(f.support_bound, f.level)}")
-    start = -f.support_bound
-    keys = set(f.values)
-    keys.update(negate_coset(field, start, k) for k in g.values)
-    zero = CycScalar.zero(field.p)
+    keys = f.values.keys() | g.values.keys()
+    zero = CycScalar.zero(f.field.p)
     witnesses = []
     for k in sorted(keys):
-        lhs = f.values.get(k, zero)
-        rhs = g.values.get(negate_coset(field, start, k), zero)
+        lhs, rhs = f.values.get(k, zero), g.values.get(k, zero)
         if not lhs.eq(rhs):
             witnesses.append((k, repr(lhs), repr(rhs)))
-    return InversionReport(field, not witnesses, len(keys), witnesses)
+    return InversionReport(f.field, not witnesses, len(keys), witnesses)
 
 
 def random_step_function(field: LocalFieldDesc, rng,

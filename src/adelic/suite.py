@@ -29,6 +29,7 @@ from .globalfields import (
     INFINITY,
     GlobalFieldDesc,
     Idele,
+    different_exponent_at,
     local_discriminant_desc,
     places_above,
     UnsupportedField,
@@ -54,7 +55,7 @@ from .localfields import (
     base_field,
     validated_quadratics,
 )
-from .values import PosRealExact
+from .values import PosRealExact, factorize
 
 
 @dataclass
@@ -99,6 +100,14 @@ def local_field_roster(ps=(2, 3, 5)) -> List[LocalFieldDesc]:
 def number_field_roster() -> List[GlobalFieldDesc]:
     return [GlobalFieldDesc.rationals(), GlobalFieldDesc.quadratic(-1),
             GlobalFieldDesc.quadratic(5), GlobalFieldDesc.quadratic(-3)]
+
+
+def two_adic_roster() -> List[GlobalFieldDesc]:
+    """Q(sqrt -7) and Q(sqrt 17), where 2 splits, and Q(sqrt 2) and
+    Q(sqrt -2), where 2 ramifies with different exponent 3: the Serre and
+    Poisson checks run on them after the fields that the benchmark reads
+    from number_field_roster()."""
+    return [GlobalFieldDesc.quadratic(d) for d in (-7, 17, 2, -2)]
 
 
 def rr_field_roster() -> List[GlobalFieldDesc]:
@@ -186,8 +195,15 @@ def check_disc_product(dmax: int = 50) -> SuiteResult:
                                                          desc.disc_exponent)
             if local != relative_discriminant_norm(K, Q):
                 return False, f"disc product failed for d={d}", n, {}
+            # Dedekind: the sum over v | p of f_v d_v is v_p(d_K)
+            vp = factorize(abs(K.disc))
+            for p in sorted({2, *vp}):
+                if sum(pl.f * different_exponent_at(K, pl)
+                       for pl in places_above(K, p)) != vp.get(p, 0):
+                    return False, f"Dedekind's different failed for d={d} at p={p}", n, {}
             n += 1
-        return True, f"local x global discriminants agree for {n} fields", n, {}
+        return True, (f"local x global discriminants and Dedekind's different "
+                      f"agree for {n} fields"), n, {}
     return _wrap("disc-product", run)
 
 
@@ -227,6 +243,20 @@ def check_rr_relative(seed: int = 3, per_pair: int = 1000,
 # -- 6. Serre duality ---------------------------------------------------------------
 
 
+def _serre_ideles(rng, per_field: int):
+    """per_field bounded random ideles on each number field, then on each
+    field of two_adic_roster() every valuation pair in [-3, 3] at the places
+    above 2: a root of omega's polynomial is lifted mod 2^j only at a split
+    2 with |v_P - v_P'| = j >= 2, which random draws seldom reach."""
+    for F in number_field_roster() + two_adic_roster():
+        for _ in range(per_field):
+            yield F, random_idele_bounded(F, rng, bound=5.0)
+    for F in two_adic_roster():
+        pls = places_above(F, 2)
+        for vs in itertools.product(range(-3, 4), repeat=len(pls)):
+            yield F, Idele.make(F, dict(zip(pls, vs)))
+
+
 def check_serre(seed: int = 4, per_field: int = 50, theta_tol: float = 1e-10,
                 check_tol: float = 1e-8, ff_deg: int = 6) -> SuiteResult:
     def run():
@@ -234,14 +264,12 @@ def check_serre(seed: int = 4, per_field: int = 50, theta_tol: float = 1e-10,
         params = ThetaParams(tolerance=theta_tol)
         n = 0
         worst = 0.0
-        for F in number_field_roster():
-            for _ in range(per_field):
-                al = random_idele_bounded(F, rng, bound=5.0)
-                rep = verify_serre(F, al, params, check_tol=check_tol)
-                n += 1
-                worst = max(worst, abs(float(rep.lhs) - float(rep.rhs)))
-                if not rep.passed:
-                    return False, f"serre failed on {F.describe()}", n, rep.to_json()
+        for F, al in _serre_ideles(rng, per_field):
+            rep = verify_serre(F, al, params, check_tol=check_tol)
+            n += 1
+            worst = max(worst, abs(float(rep.lhs) - float(rep.rhs)))
+            if not rep.passed:
+                return False, f"serre failed on {F.describe()}", n, rep.to_json()
         for q in (2, 3):
             F = GlobalFieldDesc.rational_function_field(q)
             pl, = places_above(F, INFINITY)
@@ -271,7 +299,8 @@ def check_poisson(theta_tol: float = 1e-12, check_tol: float = 1e-10) -> SuiteRe
             n += 1
             if not rep.passed:
                 return False, f"poisson failed on Q at alpha={a}", n, rep.to_json()
-        for F in (GlobalFieldDesc.quadratic(-1), GlobalFieldDesc.quadratic(5)):
+        for F in [GlobalFieldDesc.quadratic(-1), GlobalFieldDesc.quadratic(5),
+                  *two_adic_roster()]:
             rep = verify_poisson(F, Idele.trivial(F), params, check_tol=check_tol)
             n += 1
             if not rep.passed:
@@ -389,16 +418,19 @@ def check_theta_oracle(tol: float = 1e-10) -> SuiteResult:
 
 
 def check_negative_control() -> SuiteResult:
-    """A deliberately corrupted double transform must be caught."""
+    """A deliberately corrupted round trip must be caught.
+
+    The true round trip F^-1(F f) is f on f's own table, so f's table with
+    one coset raised by 1 stands in for it.
+    """
     def run():
         K = base_field(2)
         f = random_step_function(K, random.Random(99), coset_cap=64)
-        g = fourier(fourier(f))
-        key = next(iter(g.values), (0,) * g.length)
-        vals = dict(g.values)
+        key = next(iter(f.values), (0,) * f.length)
+        vals = dict(f.values)
         vals[key] = vals.get(key, CycScalar.zero(2)) + CycScalar.rational(2, 1)
         rep = verify_inversion(f, double_transform=StepFunction(
-            K, g.support_bound, g.level, vals))
+            K, f.support_bound, f.level, vals))
         if rep.passed or not rep.witnesses:
             return False, "corrupted transform was not flagged", 1, {}
         return True, "corrupted transform rejected with a coset witness", 1, {}

@@ -40,7 +40,8 @@ def test_criterion_2_inversion_formula():
 
 def test_criterion_3_discriminant_product_formula():
     # all quadratic fields with |d| <= 50: global relative discriminant
-    # equals the product of local contributions, exactly
+    # equals the product of local contributions, and Dedekind's sum of
+    # f_v d_v over v | p equals v_p(d_K) at 2 and each ramified p, exactly
     _require(check_disc_product(dmax=50))
 
 
@@ -57,15 +58,18 @@ def test_criterion_5_relative_rr_and_compatibility():
 
 def test_criterion_6_serre_duality():
     # |lhs - rhs| < 1e-8 at theta tolerance 1e-10, >= 50 ideles per number
-    # field with |log alpha| <= 5; exact on F2(t), F3(t) with |deg| <= 6;
-    # < 60 s
+    # field with |log alpha| <= 5 on Q, Q(i), Q(sqrt5), Q(sqrt-3), then
+    # Q(sqrt-7), Q(sqrt17) (2 splits), Q(sqrt2), Q(sqrt-2) (2 ramified),
+    # and on these four every valuation pair in [-3, 3] at the places above
+    # 2; exact on F2(t), F3(t) with |deg| <= 6; < 60 s
     _require(check_serre(seed=4, per_field=50, theta_tol=1e-10,
                          check_tol=1e-8, ff_deg=6), budget_s=60)
 
 
 def test_criterion_7_poisson_summation():
     # two-sided truncated sums agree < 1e-10: Q across alpha_inf in
-    # {1/4, 1/2, 1, 2, 4}; Q(i), Q(sqrt5) at the trivial idele
+    # {1/4, 1/2, 1, 2, 4}; Q(i), Q(sqrt5), Q(sqrt-7), Q(sqrt17), Q(sqrt2),
+    # Q(sqrt-2) at the trivial idele
     _require(check_poisson(theta_tol=1e-12, check_tol=1e-10))
 
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+from adelic import harmonic, localfields
 from adelic.harmonic import (
     CycScalar,
     HarmonicError,
@@ -34,7 +35,7 @@ from adelic.localfields import (
     standard_character,
     validated_quadratics,
 )
-from adelic.suite import local_field_roster
+from adelic.suite import check_inversion, local_field_roster
 from adelic.values import PosRealExact
 
 
@@ -444,11 +445,11 @@ def test_inversion_negative_control():
 
 
 def test_inversion_negative_control_report():
-    # the suite's negative control: one coset of the true double transform
-    # raised by 1; the witness strings are the scalars' repr
+    # the suite's negative control: one coset of the true round trip
+    # F^-1(F f) raised by 1; the witness strings are the scalars' repr
     K = base_field(2)
     f = random_step_function(K, random.Random(99), coset_cap=64)
-    g = fourier(fourier(f))
+    g = _transform(f, twice=True)
     key = next(iter(g.values), (0,) * g.length)
     vals = dict(g.values)
     vals[key] = vals.get(key, CycScalar.zero(2)) + CycScalar.rational(2, 1)
@@ -467,6 +468,26 @@ def test_inversion_rejects_mismatched_shape():
         (f.support_bound, f.level)
     with pytest.raises(HarmonicError):
         verify_inversion(f, double_transform=fourier(f))
+
+
+def test_inversion_negates_no_coset(monkeypatch):
+    # F^-1(F f) lands on f's own table, so checking inversion over a seeded
+    # criterion-2 pool reflects no coset: no negate_coset call (cache hits
+    # included) and no negate_digits call
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(args)
+            return fn(*args)
+        return wrapper
+
+    for module, name in ((harmonic, "negate_coset"), (harmonic, "negate_digits"),
+                         (localfields, "negate_digits")):
+        monkeypatch.setattr(module, name, counted(getattr(module, name)))
+    res = check_inversion(seed=1, per_field=5)
+    assert res.passed and res.checks == 5 * len(local_field_roster())
+    assert calls == []
 
 
 # -- step function structure -------------------------------------------------------
@@ -611,11 +632,12 @@ def test_fourier_refinement_invariant_at_benchmark_size():
 
 
 def test_double_transform_is_two_transforms():
-    # verify_inversion's double transform runs both transforms' digit passes
-    # over one packed table, with the slot width from an a-priori bound; it
-    # equals two single transforms field for field, coset order included,
-    # on sparse and dense inputs (coefficients up to 10^30, all three signs),
-    # on transforms and on the zero function
+    # verify_inversion's round trip F^-1(F f) runs the transform's digit
+    # passes and then the conjugate transform's over one packed table, with
+    # the slot width from an a-priori bound; re-keyed through the reflection
+    # x -> -x, it equals two single transforms field for field, in product
+    # order, on sparse and dense inputs (coefficients up to 10^30, all three
+    # signs), on transforms and on the zero function
     for K in dict.fromkeys(ORACLE_FIELDS + local_field_roster((2, 3, 5))):
         rng = random.Random(K.describe())
         shapes = [(M, N) for M in range(-1, 3) for N in range(-1, 3)
@@ -629,9 +651,11 @@ def test_double_transform_is_two_transforms():
             want, got = fourier(fourier(f)), _transform(f, twice=True)
             where = (K.describe(), f.support_bound, f.level)
             assert (got.support_bound, got.level) == (want.support_bound, want.level), where
-            assert list(got.values) == list(want.values), where
-            for k, v in want.values.items():
-                u = got.values[k]
+            start = -want.support_bound
+            reflected = {negate_coset(K, start, k): v for k, v in want.values.items()}
+            assert list(got.values) == [k for k in iter_cosets(f) if k in reflected], where
+            for k, u in got.values.items():
+                v = reflected[k]
                 assert (u.D, list(u.coeffs.items()), u.den, u.measure_factor) == \
                     (v.D, list(v.coeffs.items()), v.den, v.measure_factor), where
 
