@@ -178,9 +178,10 @@ class GlobalFieldDesc:
 class Place:
     """A place of a global field.  Stored: its defining data (the place
     below, splitting, index, and omega's root mod p on a quadratic field).
-    Derived from them: e, f, whether it is archimedean, e_v, #k_v, its
-    degree over the constant field (0 on number fields) and log #k_v; None,
-    0 and None at an archimedean place."""
+    Derived from them: e, f, whether it is archimedean, e_v, #k_v = p^k as
+    the pair (p, k) and as an int, its degree over the constant field (0 on
+    number fields) and log #k_v; None, None, 0 and None at an archimedean
+    place."""
 
     field: GlobalFieldDesc
     below: object                 # rational prime, base polynomial, or INFINITY
@@ -204,21 +205,30 @@ class Place:
         return self.f * (1 if self.below == INFINITY else ffpoly.pdeg(self.below))
 
     @cached_property
-    def residue_card(self) -> int | None:
-        if self.is_archimedean():
-            return None
-        return self.field.q ** self.deg if self.deg else self.below ** self.f
-
-    @cached_property
-    def log_card(self) -> LogValue | None:
-        """log #k_v, exact: f log p over a rational prime, k deg log p on a
+    def card_power(self) -> Tuple[int, int] | None:
+        """(p, k) with #k_v = p^k: f over a rational prime, k deg on a
         function field over F_(p^k)."""
         if self.is_archimedean():
             return None
         if self.deg:
             F = gf(self.field.q)
-            return LogValue({F.p: F.k * self.deg})
-        return LogValue({self.below: self.f})
+            return F.p, F.k * self.deg
+        return self.below, self.f
+
+    @cached_property
+    def residue_card(self) -> int | None:
+        if self.is_archimedean():
+            return None
+        p, k = self.card_power
+        return p ** k
+
+    @cached_property
+    def log_card(self) -> LogValue | None:
+        """log #k_v = k log p, exact."""
+        if self.is_archimedean():
+            return None
+        p, k = self.card_power
+        return LogValue({p: k})
 
     @property
     def e_v(self) -> int:
@@ -527,8 +537,8 @@ class Divisor:
             if pl.is_archimedean():
                 real = (real or 0.0) + float(c)
             else:
-                for p, e in pl.log_card.coeffs.items():
-                    exps[p] = exps.get(p, 0) + e * c
+                p, k = pl.card_power
+                exps[p] = exps.get(p, 0) + k * c
         return LogValue(exps, real)
 
     def finite_degree(self) -> int:
@@ -551,8 +561,8 @@ def idele_log_norm(alpha: Idele) -> LogValue:
     """log |alpha| = sum_v log|alpha_v|_v, exact at the finite places."""
     exps, real = {}, None
     for pl, n in alpha.finite_components:
-        for p, e in pl.log_card.coeffs.items():
-            exps[p] = exps.get(p, 0) - e * n
+        p, k = pl.card_power
+        exps[p] = exps.get(p, 0) - k * n
     for pl, a in alpha.archimedean_components:
         real = (real or 0.0) + pl.e_v * math.log(a)
     return LogValue(exps, real)

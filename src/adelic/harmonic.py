@@ -88,18 +88,6 @@ def _normalize(p: int, D: int, work: Dict[int, int],
     return D // g, coeffs, den // h
 
 
-def _split_measure(m: PosRealExact) -> Tuple[Fraction, PosRealExact]:
-    """m = ratio * residual, ratio rational and residual exponents in [0, 1)."""
-    ratio = Fraction(1)
-    residual: Dict[int, Fraction] = {}
-    for q, e in m.exponents.items():
-        k = math.floor(e)
-        ratio *= Fraction(q) ** k
-        if e != k:
-            residual[q] = e - k
-    return ratio, PosRealExact(residual)
-
-
 class CycScalar:
     """(sum over m of coeffs[m] * zeta_D^m) / den * measure_factor, exact.
 
@@ -127,15 +115,15 @@ class CycScalar:
         if pow(p, D.bit_length(), D):
             raise HarmonicError(f"angle denominator {D} is not a power of {p}")
         den = math.lcm(1, *(c.denominator for _, c in pairs))
-        ratio, mf = (1, None) if measure_factor is None \
-            else _split_measure(measure_factor)
+        num, rden, mf = (1, 1, PosRealExact.one()) if measure_factor is None \
+            else measure_factor.split_rational()
         work: Dict[int, int] = {}
         for r, c in pairs:
             m = r.numerator * (D // r.denominator) % D
-            work[m] = work.get(m, 0) + c.numerator * (den // c.denominator) * ratio.numerator
+            work[m] = work.get(m, 0) + c.numerator * (den // c.denominator) * num
         self.p = p
-        self.D, self.coeffs, self.den = _normalize(p, D, work, den * ratio.denominator)
-        self.measure_factor = mf if self.coeffs and mf is not None else PosRealExact.one()
+        self.D, self.coeffs, self.den = _normalize(p, D, work, den * rden)
+        self.measure_factor = mf if self.coeffs else PosRealExact.one()
 
     # -- constructors --------------------------------------------------------
 
@@ -209,14 +197,14 @@ class CycScalar:
     def __mul__(self, other: "CycScalar") -> "CycScalar":
         D = max(self.D, other.D)
         s, t = D // self.D, D // other.D
-        ratio, mf = _split_measure(self.measure_factor * other.measure_factor)
+        num, rden, mf = (self.measure_factor * other.measure_factor).split_rational()
         work: Dict[int, int] = {}
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = (m1 * s + m2 * t) % D
-                work[m] = work.get(m, 0) + c1 * c2 * ratio.numerator
+                work[m] = work.get(m, 0) + c1 * c2 * num
         return CycScalar._make(self.p, *_normalize(
-            self.p, D, work, self.den * other.den * ratio.denominator), mf)
+            self.p, D, work, self.den * other.den * rden), mf)
 
     def scale_rational(self, q) -> "CycScalar":
         return self * CycScalar.rational(self.p, q)
@@ -409,8 +397,7 @@ def _digit_plan(field: LocalFieldDesc, n: int):
 @lru_cache(maxsize=256)
 def _transform_scale(field: LocalFieldDesc, level: int, mf: PosRealExact):
     """mf * mu(pi^level O_v) as (numerator, denominator, residual measure)."""
-    ratio, residual = _split_measure(mf * coset_measure(field, level))
-    return ratio.numerator, ratio.denominator, residual
+    return (mf * coset_measure(field, level)).split_rational()
 
 
 def fourier(f: StepFunction) -> StepFunction:

@@ -78,6 +78,12 @@ class SuiteResult:
         }
 
 
+def _failed(detail: str, n: int, report) -> Tuple[bool, str, int, dict]:
+    """A check's result after ``n`` cases, the failing report nested under
+    one key so that it leaves the check's own fields as they are."""
+    return False, detail, n, {"failure": report.to_json()}
+
+
 def _wrap(name: str, fn: Callable[[], Tuple[bool, str, int, dict]]) -> SuiteResult:
     """Run one check; a check that ran zero cases fails rather than passing."""
     start = time.perf_counter()
@@ -168,8 +174,7 @@ def check_inversion(seed: int = 1, per_field: int = 200,
                 rep = verify_inversion(f)
                 n += 1
                 if not rep.passed:
-                    return False, f"inversion failed on {K.describe()}", n, \
-                        rep.to_json()
+                    return _failed(f"inversion failed on {K.describe()}", n, rep)
         return True, f"{n} random step functions inverted exactly", n, {}
     return _wrap("inversion", run)
 
@@ -219,7 +224,7 @@ def check_rr(seed: int = 2, per_field: int = 1000, tol: float = 1e-12) -> SuiteR
                 rep = verify_rr(F, random_idele(F, rng), tol=tol)
                 n += 1
                 if not rep.passed:
-                    return False, f"rr failed on {F.describe()}", n, rep.to_json()
+                    return _failed(f"rr failed on {F.describe()}", n, rep)
         return True, f"chi(D) - chi(0) = deg D exact on {n} ideles", n, {}
     return _wrap("rr", run)
 
@@ -234,8 +239,7 @@ def check_rr_relative(seed: int = 3, per_pair: int = 1000,
                 for rep in verify_rr_relative(L, K, random_idele(L, rng), tol=tol):
                     n += 1
                     if not rep.passed:
-                        return False, f"{rep.check} failed on {rep.field}", n, \
-                            rep.to_json()
+                        return _failed(f"{rep.check} failed on {rep.field}", n, rep)
         return True, f"relative RR + compatibility exact on {n} checks", n, {}
     return _wrap("rr-rel", run)
 
@@ -269,7 +273,7 @@ def check_serre(seed: int = 4, per_field: int = 50, theta_tol: float = 1e-10,
             n += 1
             worst = max(worst, abs(float(rep.lhs) - float(rep.rhs)))
             if not rep.passed:
-                return False, f"serre failed on {F.describe()}", n, rep.to_json()
+                return _failed(f"serre failed on {F.describe()}", n, rep)
         for q in (2, 3):
             F = GlobalFieldDesc.rational_function_field(q)
             pl, = places_above(F, INFINITY)
@@ -277,8 +281,7 @@ def check_serre(seed: int = 4, per_field: int = 50, theta_tol: float = 1e-10,
                 rep = verify_serre(F, Idele.make(F, {pl: -deg}), params)
                 n += 1
                 if not rep.passed:
-                    return False, f"serre failed on {F.describe()} deg={deg}", n, \
-                        rep.to_json()
+                    return _failed(f"serre failed on {F.describe()} deg={deg}", n, rep)
         return True, f"{n} dualities (worst number-field gap {worst:.2e})", n, \
             {"worst_gap": worst}
     return _wrap("serre", run)
@@ -298,13 +301,13 @@ def check_poisson(theta_tol: float = 1e-12, check_tol: float = 1e-10) -> SuiteRe
                                  check_tol=check_tol)
             n += 1
             if not rep.passed:
-                return False, f"poisson failed on Q at alpha={a}", n, rep.to_json()
+                return _failed(f"poisson failed on Q at alpha={a}", n, rep)
         for F in [GlobalFieldDesc.quadratic(-1), GlobalFieldDesc.quadratic(5),
                   *two_adic_roster()]:
             rep = verify_poisson(F, Idele.trivial(F), params, check_tol=check_tol)
             n += 1
             if not rep.passed:
-                return False, f"poisson failed on {F.describe()}", n, rep.to_json()
+                return _failed(f"poisson failed on {F.describe()}", n, rep)
         return True, f"two-sided sums agree on {n} configurations", n, {}
     return _wrap("poisson", run)
 

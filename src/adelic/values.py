@@ -7,10 +7,14 @@ the log of a ``PosRealExact`` plus a float remainder, which carries the
 genuinely transcendental contributions (theta sums, archimedean
 ``log alpha_v``).
 
-Invariant: a ``PosRealExact``'s exponents are non-zero ``Fraction``s.  The
+Invariant: a ``PosRealExact`` holds its exponents as non-zero integer
+numerators n_p over one shared denominator d >= 1, coprime to all of them,
+and d = 1 when every exponent is an integer.  Exponents in this package are
+integers (valuations times log #k_v) or halves of them (the measure
+normalisation -1/2 log d_K), so the arithmetic is integer arithmetic.  The
 public constructors check and clean what they are given; the arithmetic
-here builds its results from exponents that already hold it, through the
-unchecked ``PosRealExact._of``, which no other module calls.
+here builds its results from numerators that already hold the invariant,
+through the unchecked ``PosRealExact._of``, which no other module calls.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ import itertools
 import math
 import numbers
 from fractions import Fraction
-from typing import Dict
+from typing import Dict, Tuple
 
 
 class InvariantError(RuntimeError):
@@ -148,37 +152,46 @@ def exact_rational(x):
 
 
 class PosRealExact:
-    """A positive real number of the form prod p^{e_p}, e_p rational.
+    """A positive real number of the form prod p^(n_p / d), exactly.
 
-    Immutable.  Multiplication adds exponents; ``log()`` wraps ``self`` as
-    the exact part of a :class:`LogValue`.
+    Immutable.  Stored as integer numerators n_p != 0 over one shared
+    denominator d >= 1 that is coprime to all of them, with d = 1 when every
+    exponent is an integer (the number 1 included), so the form is unique.
+    Multiplication adds exponents; ``log()`` wraps ``self`` as the exact part
+    of a :class:`LogValue`.  ``exponents`` views the form as ``Fraction``s.
     """
 
-    __slots__ = ("_e",)
+    __slots__ = ("_n", "_d")
 
     def __init__(self, exponents: Dict[int, Fraction] | None = None):
-        cleaned: Dict[int, Fraction] = {}
-        for p, e in (exponents or {}).items():
-            if not isinstance(e, Fraction):
-                e = Fraction(exact_rational(e))
-            if e:
-                if p < 2:
-                    raise ValueError(f"invalid prime base {p}")
-                cleaned[int(p)] = e
-        self._e = cleaned
+        exps = exponents or {}
+        if all(type(e) is int for e in exps.values()):
+            n, d = {int(p): e for p, e in exps.items() if e}, 1
+        else:
+            fr = {int(p): Fraction(exact_rational(e)) for p, e in exps.items()}
+            d = math.lcm(1, *(e.denominator for e in fr.values()))
+            n = {p: e.numerator * (d // e.denominator) for p, e in fr.items() if e}
+        if n and min(n) < 2:
+            raise ValueError(f"invalid prime base {min(n)}")
+        self._n, self._d = n, d
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def _of(cls, cleaned: Dict[int, Fraction]) -> "PosRealExact":
-        """Wrap ``cleaned``, unchecked: primes to non-zero ``Fraction``s."""
+    def _of(cls, n: Dict[int, int], d: int) -> "PosRealExact":
+        """Wrap primes -> non-zero int numerators n_p over d >= 1, unchecked;
+        a factor that d shares with every n_p is cancelled."""
+        if d > 1:
+            g = math.gcd(d, *n.values())
+            if g > 1:
+                n, d = {p: e // g for p, e in n.items()}, d // g
         x = object.__new__(cls)
-        x._e = cleaned
+        x._n, x._d = n, d
         return x
 
     @classmethod
     def one(cls) -> "PosRealExact":
-        return cls._of({})
+        return _ONE
 
     @classmethod
     def prime_power(cls, p: int, e) -> "PosRealExact":
@@ -197,47 +210,77 @@ class PosRealExact:
 
     @property
     def exponents(self) -> Dict[int, Fraction]:
-        return dict(self._e)
+        return {p: Fraction(n, self._d) for p, n in self._n.items()}
 
     def is_one(self) -> bool:
-        return not self._e
+        return not self._n
 
     def __float__(self) -> float:
         return math.exp(float(self.log()))
 
+    def split_rational(self) -> Tuple[int, int, "PosRealExact"]:
+        """(num, den, residual) with self = num / den * residual, num and den
+        coprime positive ints and every exponent of residual in [0, 1)."""
+        num = den = 1
+        rest: Dict[int, int] = {}
+        d = self._d
+        for p, n in self._n.items():
+            k, r = divmod(n, d)
+            if k > 0:
+                num *= p ** k
+            elif k < 0:
+                den *= p ** -k
+            if r:
+                rest[p] = r
+        # a non-integral exponent keeps its reduced denominator, so d stays least
+        return num, den, PosRealExact._of(rest, d) if rest else _ONE
+
     # -- arithmetic ---------------------------------------------------------
 
     def __mul__(self, other: "PosRealExact") -> "PosRealExact":
-        if not (self._e and other._e):
-            return self if self._e else other
-        exps = dict(self._e)
-        for p, e in other._e.items():
-            exps[p] = exps[p] + e if p in exps else e
-        return PosRealExact._of({p: e for p, e in exps.items() if e})
+        if not (self._n and other._n):
+            return self if self._n else other
+        d1, d2 = self._d, other._d
+        d = d1 if d1 == d2 else math.lcm(d1, d2)
+        s, t = d // d1, d // d2
+        n = dict(self._n) if s == 1 else {p: e * s for p, e in self._n.items()}
+        for p, e in other._n.items():
+            e = n.get(p, 0) + e * t
+            if e:
+                n[p] = e
+            else:
+                del n[p]
+        return PosRealExact._of(n, d)
 
     def __truediv__(self, other: "PosRealExact") -> "PosRealExact":
         return self * other ** -1
 
     def __pow__(self, k) -> "PosRealExact":
-        if type(k) is not int:
+        if type(k) is int:
+            num, den = k, 1
+        else:
             k = Fraction(exact_rational(k))
-        if k == -1:
-            return PosRealExact._of({p: -e for p, e in self._e.items()})
-        return PosRealExact._of({p: e * k for p, e in self._e.items()} if k else {})
+            num, den = k.numerator, k.denominator
+        if not (num and self._n):
+            return _ONE
+        return PosRealExact._of({p: e * num for p, e in self._n.items()}, self._d * den)
 
     def log(self) -> "LogValue":
         return LogValue(self)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PosRealExact) and self._e == other._e
+        return isinstance(other, PosRealExact) and self._d == other._d and self._n == other._n
 
     def __hash__(self):
-        return hash(tuple(sorted(self._e.items())))
+        return hash((self._d, frozenset(self._n.items())))
 
     def __repr__(self) -> str:
-        if not self._e:
+        if not self._n:
             return "1"
-        return " * ".join(f"{p}^{e}" for p, e in sorted(self._e.items()))
+        return " * ".join(f"{p}^{e}" for p, e in sorted(self.exponents.items()))
+
+
+_ONE = PosRealExact._of({}, 1)
 
 
 class LogValue:
@@ -262,14 +305,16 @@ class LogValue:
 
     @classmethod
     def of_real(cls, x: float) -> "LogValue":
-        return cls({}, x)
+        return cls(_ONE, x)
 
     @property
     def coeffs(self) -> Dict[int, Fraction]:
         return self._x.exponents
 
     def __float__(self) -> float:
-        return math.fsum(float(c) * math.log(p) for p, c in self._x._e.items()) + self.real
+        # n / d is int true division, rounded once like float(Fraction(n, d))
+        d = self._x._d
+        return math.fsum(n / d * math.log(p) for p, n in self._x._n.items()) + self.real
 
     def __add__(self, other: "LogValue") -> "LogValue":
         return LogValue(self._x * other._x, self.real + other.real
@@ -300,7 +345,7 @@ class LogValue:
 
     def to_json(self, tolerance: float | None = None) -> dict:
         """Schema: symbolic coefficient list, real remainder, provenance tag."""
-        sym = [[p, str(c)] for p, c in sorted(self._x._e.items())]
+        sym = [[p, str(c)] for p, c in sorted(self.coeffs.items())]
         if not self._float:
             prov = "exact-symbolic"
         else:
@@ -308,7 +353,7 @@ class LogValue:
         return {"symbolic": sym, "real": self.real, "provenance": prov}
 
     def __repr__(self) -> str:
-        parts = [f"({c})*log{p}" for p, c in sorted(self._x._e.items())]
+        parts = [f"({c})*log{p}" for p, c in sorted(self.coeffs.items())]
         if self.real != 0.0 or not parts:
             parts.append(f"{self.real!r}")
         return " + ".join(parts)

@@ -362,6 +362,36 @@ def test_rr_checks_factor_no_integer_after_warm_up(monkeypatch):
         assert calls[before:] == [], F
 
 
+def test_identity_checks_build_no_fraction_after_warm_up(monkeypatch):
+    # log #k_v = k log p is a cached (p, k) per place, and exponents are
+    # integer numerators over one denominator, so once a field's places and
+    # discriminant are known rr, rr-rel and serre construct no Fraction
+    from adelic.suite import number_field_roster, relative_pairs, rr_field_roster
+
+    calls = []
+    real = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        calls.append(args)
+        return real(cls, *args, **kwargs)
+
+    rng = random.Random(24)
+    runs = [(F, lambda F, al: [verify_rr(F, al)], random_idele(F, rng))
+            for F in rr_field_roster() for _ in range(200)]
+    runs += [(L, lambda L, al, K=K: verify_rr_relative(L, K, al), random_idele(L, rng))
+             for L, K in relative_pairs() for _ in range(200)]
+    runs += [(F, lambda F, al: [verify_serre(F, al)],
+              random_idele_bounded(F, rng, bound=5.0))
+             for F in number_field_roster() + [F2, F3] for _ in range(20)]
+    for F, check, al in runs:
+        check(F, al)  # warm-up: places, discriminants, canonical ideles
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
+    passed = [rep.passed for F, check, al in runs for rep in check(F, al)]
+    monkeypatch.undo()
+    assert all(passed) and len(passed) == 6 * 200 + 3 * 400 + 6 * 20
+    assert calls == []
+
+
 def test_verify_serre_trivial_and_scaled():
     rep = verify_serre(Q, Idele.trivial(Q))
     assert rep.passed and abs(float(rep.lhs) - float(rep.rhs)) < 1e-12

@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from decimal import Decimal
@@ -264,3 +265,85 @@ def test_logvalue_sub_is_add_of_negation(xm, ym, ra, rb):
     assert d.to_json() == s.to_json()
     assert d.to_json()["provenance"] == ("float" if rb is not None or ra is not None
                                          else "exact-symbolic")
+
+
+# -- the integer form against the old Fraction-map arithmetic ---------------------
+
+
+def oracle_mul(a, b):
+    """The product of two exponent maps, as Fraction-valued dicts."""
+    out = dict(a)
+    for p, e in b.items():
+        out[p] = out.get(p, 0) + e
+    return {p: e for p, e in out.items() if e}
+
+
+def oracle_pow(a, k):
+    return {p: e * k for p, e in a.items()} if k else {}
+
+
+def oracle_split(a):
+    """m = ratio * residual, ratio rational and residual exponents in [0, 1)."""
+    ratio, residual = Fraction(1), {}
+    for q, e in a.items():
+        k = math.floor(e)
+        ratio *= Fraction(q) ** k
+        if e != k:
+            residual[q] = e - k
+    return ratio, residual
+
+
+def oracle_float(a, real=0.0):
+    return math.fsum(float(c) * math.log(p) for p, c in a.items()) + real
+
+
+def canonical(x, ref):
+    """x is the value with exponent map ``ref`` in its unique integer form:
+    d the least common denominator (1 when every exponent is an integer),
+    hence coprime to the numerators, and no zero numerator."""
+    d = math.lcm(1, *(e.denominator for e in ref.values()))
+    assert (x._n, x._d) == ({p: int(e * d) for p, e in ref.items()}, d)
+    assert all(type(n) is int and n for n in x._n.values())
+    assert math.gcd(x._d, *x._n.values()) == 1
+    assert x.exponents == ref
+    return x
+
+
+exponent = st.one_of(st.integers(min_value=-6, max_value=6),
+                     st.fractions(min_value=-6, max_value=6, max_denominator=12))
+mixed_maps = st.dictionaries(st.sampled_from([2, 3, 5, 7, 11, 97]), exponent, max_size=4)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(mixed_maps, mixed_maps, st.integers(min_value=-5, max_value=5),
+       st.fractions(min_value=-4, max_value=4, max_denominator=6),
+       st.floats(min_value=-1e3, max_value=1e3))
+def test_integer_form_matches_fraction_maps(xm, ym, n, k, real):
+    X = {p: Fraction(e) for p, e in xm.items() if e}
+    Y = {p: Fraction(e) for p, e in ym.items() if e}
+    x, y = canonical(PosRealExact(xm), X), canonical(PosRealExact(ym), Y)
+    for w, ref in ((x * y, oracle_mul(X, Y)),
+                   (x / y, oracle_mul(X, oracle_pow(Y, -1))),
+                   (y / x, oracle_mul(Y, oracle_pow(X, -1))),
+                   (x ** n, oracle_pow(X, n)),
+                   (x ** k, oracle_pow(X, k)),
+                   ((x * y) / y, X)):
+        canonical(w, ref)
+        # one value, one hash, however it was reached
+        assert w == PosRealExact(ref) and hash(w) == hash(PosRealExact(ref))
+        v = LogValue(w, real)
+        assert float(w.log()).hex() == oracle_float(ref).hex()
+        assert float(v).hex() == oracle_float(ref, real).hex()
+        assert v.to_json()["symbolic"] == [[p, str(c)] for p, c in sorted(ref.items())]
+    num, den, residual = x.split_rational()
+    ratio, rest = oracle_split(X)
+    assert Fraction(num, den) == ratio and (num, den) == (ratio.numerator, ratio.denominator)
+    canonical(residual, rest)
+
+
+def test_one_is_shared():
+    # the unit is immutable, so every caller gets the same object
+    one = PosRealExact.one()
+    assert one is PosRealExact.one() is LogValue.of_real(0.5)._x
+    x = PosRealExact({2: Fraction(1, 2)})
+    assert x ** 0 is one and (x ** 2).split_rational()[2] is one
