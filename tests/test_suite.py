@@ -3,7 +3,13 @@ import dataclasses
 import pytest
 
 from adelic import suite
-from adelic.suite import check_disc_product, check_inversion, check_lemmas, check_rr, check_serre
+from adelic.suite import (
+    check_disc_product,
+    check_inversion,
+    check_lemmas,
+    check_rr,
+    check_serre,
+)
 
 
 def test_checks_that_ran_nothing_fail():
