@@ -3,17 +3,24 @@
 Each check returns a :class:`SuiteResult` with a pass flag, a one-line
 detail string, and enough counters to audit what ran.  The CLI ``suite``
 command executes all of them with a seed; the acceptance tests call them
-individually with pinned tolerances.
+individually and pin the tolerances they run with.
+
+A check is a function under ``@_check(name)`` returning ``(passed, detail,
+cases, extra)``; a check of ``verify_*`` reports returns :func:`_report_loop`
+over them.  Sizes are parameters, tolerances are not: rr, rr-rel, serre and
+poisson's comparison use the ``verify_*`` defaults, as the CLI does, and
+poisson's theta tolerance and the theta oracle's are literals in their checks.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 from . import ffpoly
 from .ffpoly import gf
@@ -78,20 +85,38 @@ class SuiteResult:
         }
 
 
-def _failed(detail: str, n: int, report) -> Tuple[bool, str, int, dict]:
-    """A check's result after ``n`` cases, the failing report nested under
-    one key so that it leaves the check's own fields as they are."""
-    return False, detail, n, {"failure": report.to_json()}
+def _check(name: str):
+    """Make a function returning ``(passed, detail, cases, extra)`` a check
+    named ``name``: timed, and failed rather than passed if it ran zero cases."""
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> SuiteResult:
+            start = time.perf_counter()
+            passed, detail, cases, extra = body(*args, **kwargs)
+            if passed and cases == 0:
+                passed, detail = False, "ran zero cases"
+            return SuiteResult(name, passed, detail,
+                               (time.perf_counter() - start) * 1e3, cases, extra)
+        return check
+    return decorate
 
 
-def _wrap(name: str, fn: Callable[[], Tuple[bool, str, int, dict]]) -> SuiteResult:
-    """Run one check; a check that ran zero cases fails rather than passing."""
-    start = time.perf_counter()
-    passed, detail, checks, extra = fn()
-    if passed and checks == 0:
-        passed, detail = False, "ran zero cases"
-    return SuiteResult(name, passed, detail, (time.perf_counter() - start) * 1e3,
-                       checks, extra)
+def _report_loop(name: str, reports, done: str, gap=None):
+    """Count ``reports`` up to the first failure, nested under "failure" so
+    that it leaves the check's own fields as they are, and named by the
+    report's ``check`` (an InversionReport has none: ``name``) and field.
+    ``done`` is the passing detail, formatted with the count ``n`` and the
+    largest ``gap(report)``, ``worst``, which is also returned as "worst_gap"."""
+    n, worst = 0, 0.0
+    for rep in reports:
+        n += 1
+        if not rep.passed:
+            obj = rep.to_json()
+            return False, f"{obj.get('check', name)} failed on {obj['field']}", n, \
+                {"failure": obj}
+        if gap is not None:
+            worst = max(worst, gap(rep))
+    return True, done.format(n=n, worst=worst), n, {"worst_gap": worst} if gap else {}
 
 
 def local_field_roster(ps=(2, 3, 5)) -> List[LocalFieldDesc]:
@@ -133,115 +158,95 @@ def relative_pairs() -> List[Tuple[GlobalFieldDesc, GlobalFieldDesc]]:
 # -- 1. appendix lemmas, exact ---------------------------------------------------
 
 
-def check_lemmas(ps=(2, 3, 5), m_range=(-3, 3)) -> SuiteResult:
-    def run():
-        n = 0
-        for K in local_field_roster(ps):
-            d = K.different_exponent
-            for m in range(m_range[0], m_range[1] + 1):
-                got = character_coset_integral(K, m)
-                if m >= -d:
-                    want = CycScalar.from_posreal(K.p, coset_measure(K, m))
-                    if not got.eq(want):
-                        return False, f"coset integral {K.describe()} m={m}", n, {}
-                elif not got.is_zero():
+@_check("lemmas")
+def check_lemmas(ps=(2, 3, 5), m_range=(-3, 3)):
+    n = 0
+    for K in local_field_roster(ps):
+        d = K.different_exponent
+        for m in range(m_range[0], m_range[1] + 1):
+            got = character_coset_integral(K, m)
+            if m >= -d:
+                want = CycScalar.from_posreal(K.p, coset_measure(K, m))
+                if not got.eq(want):
                     return False, f"coset integral {K.describe()} m={m}", n, {}
-                ghat = fourier(indicator(K, m))
-                scale = PosRealExact.prime_power(K.p, -K.f * m)
-                want_fn = indicator(K, -m - d)
-                want_fn = StepFunction(
-                    K, want_fn.support_bound, want_fn.level,
-                    {k: v.scale_measure(scale * coset_measure(K, 0))
-                     for k, v in want_fn.values.items()})
-                if not ghat.equals(want_fn):
-                    return False, f"transform {K.describe()} m={m}", n, {}
-                n += 2
-        return True, f"L1 + indicator transforms exact on {n} cases", n, {}
-    return _wrap("lemmas", run)
+            elif not got.is_zero():
+                return False, f"coset integral {K.describe()} m={m}", n, {}
+            ghat = fourier(indicator(K, m))
+            scale = PosRealExact.prime_power(K.p, -K.f * m)
+            want_fn = indicator(K, -m - d)
+            want_fn = StepFunction(
+                K, want_fn.support_bound, want_fn.level,
+                {k: v.scale_measure(scale * coset_measure(K, 0))
+                 for k, v in want_fn.values.items()})
+            if not ghat.equals(want_fn):
+                return False, f"transform {K.describe()} m={m}", n, {}
+            n += 2
+    return True, f"L1 + indicator transforms exact on {n} cases", n, {}
 
 
 # -- 2. inversion formula ---------------------------------------------------------
 
 
-def check_inversion(seed: int = 1, per_field: int = 200,
-                    ps=(2, 3, 5), coset_cap: int = 81) -> SuiteResult:
-    def run():
-        rng = random.Random(seed)
-        n = 0
-        for K in local_field_roster(ps):
-            for _ in range(per_field):
-                f = random_step_function(K, rng, coset_cap=coset_cap)
-                rep = verify_inversion(f)
-                n += 1
-                if not rep.passed:
-                    return _failed(f"inversion failed on {K.describe()}", n, rep)
-        return True, f"{n} random step functions inverted exactly", n, {}
-    return _wrap("inversion", run)
+@_check("inversion")
+def check_inversion(seed: int = 1, per_field: int = 200, ps=(2, 3, 5)):
+    rng = random.Random(seed)
+    return _report_loop("inversion", (
+        verify_inversion(random_step_function(K, rng, coset_cap=81))
+        for K in local_field_roster(ps) for _ in range(per_field)),
+        "{n} random step functions inverted exactly")
 
 
 # -- 3. discriminant product formula ----------------------------------------------
 
 
-def check_disc_product(dmax: int = 50) -> SuiteResult:
-    def run():
-        Q = GlobalFieldDesc.rationals()
-        n = 0
-        for d in range(-dmax, dmax + 1):
-            if d in (0, 1):
-                continue
-            try:
-                K = GlobalFieldDesc.quadratic(d)
-            except UnsupportedField:
-                continue  # not squarefree
-            local = PosRealExact.one()
-            for pl in ramified_finite_places(K):
-                desc = local_discriminant_desc(K, pl.below)
-                local = local * PosRealExact.prime_power(pl.below,
-                                                         desc.disc_exponent)
-            if local != relative_discriminant_norm(K, Q):
-                return False, f"disc product failed for d={d}", n, {}
-            # Dedekind: the sum over v | p of f_v d_v is v_p(d_K)
-            vp = factorize(abs(K.disc))
-            for p in sorted({2, *vp}):
-                if sum(pl.f * different_exponent_at(K, pl)
-                       for pl in places_above(K, p)) != vp.get(p, 0):
-                    return False, f"Dedekind's different failed for d={d} at p={p}", n, {}
-            n += 1
-        return True, (f"local x global discriminants and Dedekind's different "
-                      f"agree for {n} fields"), n, {}
-    return _wrap("disc-product", run)
+@_check("disc-product")
+def check_disc_product(dmax: int = 50):
+    Q = GlobalFieldDesc.rationals()
+    n = 0
+    for d in range(-dmax, dmax + 1):
+        if d in (0, 1):
+            continue
+        try:
+            K = GlobalFieldDesc.quadratic(d)
+        except UnsupportedField:
+            continue  # not squarefree
+        local = PosRealExact.one()
+        for pl in ramified_finite_places(K):
+            desc = local_discriminant_desc(K, pl.below)
+            local = local * PosRealExact.prime_power(pl.below,
+                                                     desc.disc_exponent)
+        if local != relative_discriminant_norm(K, Q):
+            return False, f"disc product failed for d={d}", n, {}
+        # Dedekind: the sum over v | p of f_v d_v is v_p(d_K)
+        vp = factorize(abs(K.disc))
+        for p in sorted({2, *vp}):
+            if sum(pl.f * different_exponent_at(K, pl)
+                   for pl in places_above(K, p)) != vp.get(p, 0):
+                return False, f"Dedekind's different failed for d={d} at p={p}", n, {}
+        n += 1
+    return True, (f"local x global discriminants and Dedekind's different "
+                  f"agree for {n} fields"), n, {}
 
 
 # -- 4/5. Riemann-Roch ------------------------------------------------------------
 
 
-def check_rr(seed: int = 2, per_field: int = 1000, tol: float = 1e-12) -> SuiteResult:
-    def run():
-        rng = random.Random(seed)
-        n = 0
-        for F in rr_field_roster():
-            for _ in range(per_field):
-                rep = verify_rr(F, random_idele(F, rng), tol=tol)
-                n += 1
-                if not rep.passed:
-                    return _failed(f"rr failed on {F.describe()}", n, rep)
-        return True, f"chi(D) - chi(0) = deg D exact on {n} ideles", n, {}
-    return _wrap("rr", run)
+@_check("rr")
+def check_rr(seed: int = 2, per_field: int = 1000):
+    rng = random.Random(seed)
+    return _report_loop("rr", (
+        verify_rr(F, random_idele(F, rng))
+        for F in rr_field_roster() for _ in range(per_field)),
+        "chi(D) - chi(0) = deg D exact on {n} ideles")
 
 
-def check_rr_relative(seed: int = 3, per_pair: int = 1000,
-                      tol: float = 1e-12) -> SuiteResult:
-    def run():
-        rng = random.Random(seed)
-        n = 0
-        for L, K in relative_pairs():
-            for _ in range(per_pair):
-                for rep in verify_rr_relative(L, K, random_idele(L, rng), tol=tol):
-                    n += 1
-                    if not rep.passed:
-                        return _failed(f"{rep.check} failed on {rep.field}", n, rep)
-        return True, f"relative RR + compatibility exact on {n} checks", n, {}
-    return _wrap("rr-rel", run)
+@_check("rr-rel")
+def check_rr_relative(seed: int = 3, per_pair: int = 1000):
+    rng = random.Random(seed)
+    return _report_loop("rr-rel", (
+        rep for L, K in relative_pairs() for _ in range(per_pair)
+        for rep in verify_rr_relative(L, K, random_idele(L, rng))),
+        "relative RR + compatibility exact on {n} checks")
 
 
 # -- 6. Serre duality ---------------------------------------------------------------
@@ -251,7 +256,8 @@ def _serre_ideles(rng, per_field: int):
     """per_field bounded random ideles on each number field, then on each
     field of two_adic_roster() every valuation pair in [-3, 3] at the places
     above 2: a root of omega's polynomial is lifted mod 2^j only at a split
-    2 with |v_P - v_P'| = j >= 2, which random draws seldom reach."""
+    2 with |v_P - v_P'| = j >= 2, which random draws seldom reach.  Last, on
+    F_2(t) and F_3(t), the divisors n * infinity with |n| <= 6."""
     for F in number_field_roster() + two_adic_roster():
         for _ in range(per_field):
             yield F, random_idele_bounded(F, rng, bound=5.0)
@@ -259,57 +265,37 @@ def _serre_ideles(rng, per_field: int):
         pls = places_above(F, 2)
         for vs in itertools.product(range(-3, 4), repeat=len(pls)):
             yield F, Idele.make(F, dict(zip(pls, vs)))
+    for q in (2, 3):
+        F = GlobalFieldDesc.rational_function_field(q)
+        pl, = places_above(F, INFINITY)
+        for deg in range(-6, 7):
+            yield F, Idele.make(F, {pl: -deg})
 
 
-def check_serre(seed: int = 4, per_field: int = 50, theta_tol: float = 1e-10,
-                check_tol: float = 1e-8, ff_deg: int = 6) -> SuiteResult:
-    def run():
-        rng = random.Random(seed)
-        params = ThetaParams(tolerance=theta_tol)
-        n = 0
-        worst = 0.0
-        for F, al in _serre_ideles(rng, per_field):
-            rep = verify_serre(F, al, params, check_tol=check_tol)
-            n += 1
-            worst = max(worst, abs(float(rep.lhs) - float(rep.rhs)))
-            if not rep.passed:
-                return _failed(f"serre failed on {F.describe()}", n, rep)
-        for q in (2, 3):
-            F = GlobalFieldDesc.rational_function_field(q)
-            pl, = places_above(F, INFINITY)
-            for deg in range(-ff_deg, ff_deg + 1):
-                rep = verify_serre(F, Idele.make(F, {pl: -deg}), params)
-                n += 1
-                if not rep.passed:
-                    return _failed(f"serre failed on {F.describe()} deg={deg}", n, rep)
-        return True, f"{n} dualities (worst number-field gap {worst:.2e})", n, \
-            {"worst_gap": worst}
-    return _wrap("serre", run)
+@_check("serre")
+def check_serre(seed: int = 4, per_field: int = 50):
+    # a function-field report passes only with lhs == rhs, at gap 0
+    rng = random.Random(seed)
+    return _report_loop("serre", (
+        verify_serre(F, al) for F, al in _serre_ideles(rng, per_field)),
+        "{n} dualities (worst number-field gap {worst:.2e})",
+        gap=lambda rep: abs(float(rep.lhs) - float(rep.rhs)))
 
 
 # -- 7. Poisson summation --------------------------------------------------------------
 
 
-def check_poisson(theta_tol: float = 1e-12, check_tol: float = 1e-10) -> SuiteResult:
-    def run():
-        params = ThetaParams(tolerance=theta_tol)
-        Q = GlobalFieldDesc.rationals()
-        pl, = places_above(Q, INFINITY)
-        n = 0
-        for a in (0.25, 0.5, 1.0, 2.0, 4.0):
-            rep = verify_poisson(Q, Idele.make(Q, {}, {pl: a}), params,
-                                 check_tol=check_tol)
-            n += 1
-            if not rep.passed:
-                return _failed(f"poisson failed on Q at alpha={a}", n, rep)
-        for F in [GlobalFieldDesc.quadratic(-1), GlobalFieldDesc.quadratic(5),
-                  *two_adic_roster()]:
-            rep = verify_poisson(F, Idele.trivial(F), params, check_tol=check_tol)
-            n += 1
-            if not rep.passed:
-                return _failed(f"poisson failed on {F.describe()}", n, rep)
-        return True, f"two-sided sums agree on {n} configurations", n, {}
-    return _wrap("poisson", run)
+@_check("poisson")
+def check_poisson():
+    Q = GlobalFieldDesc.rationals()
+    pl, = places_above(Q, INFINITY)
+    ideles = [Idele.make(Q, {}, {pl: a}) for a in (0.25, 0.5, 1.0, 2.0, 4.0)]
+    fields = [GlobalFieldDesc.quadratic(-1), GlobalFieldDesc.quadratic(5)]
+    ideles += [Idele.trivial(F) for F in fields + two_adic_roster()]
+    params = ThetaParams(tolerance=1e-12)
+    return _report_loop("poisson", (
+        verify_poisson(al.field, al, params) for al in ideles),
+        "two-sided sums agree on {n} configurations")
 
 
 # -- 8. function-field section counting --------------------------------------------------
@@ -318,11 +304,8 @@ def check_poisson(theta_tol: float = 1e-12, check_tol: float = 1e-10) -> SuiteRe
 def _ff_place_pools(q: int):
     linears = [pi for pi in ffpoly.monic_irreducibles(q, 1)]
     quads = [pi for pi in ffpoly.monic_irreducibles(q, 2) if ffpoly.pdeg(pi) == 2]
-    if q == 2:
-        return [(linears[0], linears[1], INFINITY),
-                (linears[0], quads[0], INFINITY)]
-    return [(linears[0], linears[1], INFINITY),
-            (linears[2], quads[0], INFINITY)]
+    other = linears[0] if q == 2 else linears[2]  # F_2 has two linear places
+    return [(linears[0], linears[1], INFINITY), (other, quads[0], INFINITY)]
 
 
 def brute_force_sections(field: GlobalFieldDesc, div_coeffs: Dict) -> int:
@@ -339,11 +322,7 @@ def brute_force_sections(field: GlobalFieldDesc, div_coeffs: Dict) -> int:
     F = gf(q)
     n_inf = div_coeffs.get(INFINITY, 0)
     finite = {pi: n for pi, n in div_coeffs.items() if pi != INFINITY}
-    d: ffpoly.Poly = (1,)
-    for pi, npi in finite.items():
-        for _ in range(max(0, npi)):
-            d = ffpoly.pmul(F, d, pi)
-    bound = n_inf + ffpoly.pdeg(d)
+    bound = n_inf + sum(max(0, npi) * ffpoly.pdeg(pi) for pi, npi in finite.items())
     count = 1  # the zero function
     for idx in range(1, q ** (max(bound, -1) + 2)):
         h = ffpoly.int_to_poly(F, idx)
@@ -365,79 +344,75 @@ def brute_force_sections(field: GlobalFieldDesc, div_coeffs: Dict) -> int:
     return count
 
 
-def check_ff_sections(max_deg: int = 6, coeff_span: int = 2) -> SuiteResult:
-    def run():
-        n = 0
-        for q in (2, 3):
-            field = GlobalFieldDesc.rational_function_field(q)
-            for pool in _ff_place_pools(q):
-                spans = [range(-coeff_span, coeff_span + 1)] * len(pool)
-                for coeffs in itertools.product(*spans):
-                    div = dict(zip(pool, coeffs))
-                    deg = sum(c * (1 if pi == INFINITY else ffpoly.pdeg(pi))
-                              for pi, c in div.items())
-                    if abs(deg) > max_deg:
-                        continue
-                    count = brute_force_sections(field, div)
-                    ell = max(0, deg + 1)
-                    if count != q ** ell:
-                        return False, (f"q={q} divisor {div}: brute {count} "
-                                       f"!= q^{ell}"), n, {}
-                    # cross-check the library value through an actual idele
-                    fin = {}
-                    for pi, c in div.items():
-                        pl, = places_above(field, pi)
-                        if c:
-                            fin[pl] = -c
-                    val = h0(field, Idele.make(field, fin))
-                    want = math.log(q) * ell
-                    if abs(float(val) - want) > 1e-12:
-                        return False, f"h0 mismatch for {div}", n, {}
-                    n += 1
-        return True, f"section counts match brute enumeration on {n} divisors", n, {}
-    return _wrap("ff-sections", run)
+@_check("ff-sections")
+def check_ff_sections():
+    n = 0
+    for q in (2, 3):
+        field = GlobalFieldDesc.rational_function_field(q)
+        for pool in _ff_place_pools(q):
+            for coeffs in itertools.product(range(-2, 3), repeat=len(pool)):
+                div = dict(zip(pool, coeffs))
+                deg = sum(c * (1 if pi == INFINITY else ffpoly.pdeg(pi))
+                          for pi, c in div.items())
+                if abs(deg) > 6:
+                    continue
+                count = brute_force_sections(field, div)
+                ell = max(0, deg + 1)
+                if count != q ** ell:
+                    return False, (f"q={q} divisor {div}: brute {count} "
+                                   f"!= q^{ell}"), n, {}
+                # cross-check the library value through an actual idele
+                fin = {}
+                for pi, c in div.items():
+                    pl, = places_above(field, pi)
+                    if c:
+                        fin[pl] = -c
+                val = h0(field, Idele.make(field, fin))
+                want = math.log(q) * ell
+                if abs(float(val) - want) > 1e-12:
+                    return False, f"h0 mismatch for {div}", n, {}
+                n += 1
+    return True, f"section counts match brute enumeration on {n} divisors", n, {}
 
 
 # -- 9. theta oracle ------------------------------------------------------------------
 
 
-def check_theta_oracle(tol: float = 1e-10) -> SuiteResult:
-    def run():
-        Q = GlobalFieldDesc.rationals()
-        val = h0(Q, Idele.trivial(Q), ThetaParams(tolerance=1e-13))
-        theta_lib = math.exp(float(val))
-        theta_brute = math.fsum(math.exp(-math.pi * k * k) for k in range(-12, 13))
-        frozen = 1.0864348112
-        if abs(theta_lib - theta_brute) > tol:
-            return False, f"library {theta_lib!r} vs brute {theta_brute!r}", 1, {}
-        if abs(theta_brute - frozen) > 1e-9:
-            return False, f"brute oracle drifted from {frozen}", 1, {}
-        return True, f"theta(1) = {theta_brute:.10f} matches to {tol:g}", 1, \
-            {"theta": theta_brute}
-    return _wrap("theta-oracle", run)
+@_check("theta-oracle")
+def check_theta_oracle():
+    Q = GlobalFieldDesc.rationals()
+    val = h0(Q, Idele.trivial(Q), ThetaParams(tolerance=1e-13))
+    theta_lib = math.exp(float(val))
+    theta_brute = math.fsum(math.exp(-math.pi * k * k) for k in range(-12, 13))
+    frozen, tol = 1.0864348112, 1e-10
+    if abs(theta_lib - theta_brute) > tol:
+        return False, f"library {theta_lib!r} vs brute {theta_brute!r}", 1, {}
+    if abs(theta_brute - frozen) > 1e-9:
+        return False, f"brute oracle drifted from {frozen}", 1, {}
+    return True, f"theta(1) = {theta_brute:.10f} matches to {tol:g}", 1, \
+        {"theta": theta_brute}
 
 
 # -- negative control -------------------------------------------------------------------
 
 
-def check_negative_control() -> SuiteResult:
+@_check("negative-control")
+def check_negative_control():
     """A deliberately corrupted round trip must be caught.
 
     The true round trip F^-1(F f) is f on f's own table, so f's table with
     one coset raised by 1 stands in for it.
     """
-    def run():
-        K = base_field(2)
-        f = random_step_function(K, random.Random(99), coset_cap=64)
-        key = next(iter(f.values), (0,) * f.length)
-        vals = dict(f.values)
-        vals[key] = vals.get(key, CycScalar.zero(2)) + CycScalar.rational(2, 1)
-        rep = verify_inversion(f, double_transform=StepFunction(
-            K, f.support_bound, f.level, vals))
-        if rep.passed or not rep.witnesses:
-            return False, "corrupted transform was not flagged", 1, {}
-        return True, "corrupted transform rejected with a coset witness", 1, {}
-    return _wrap("negative-control", run)
+    K = base_field(2)
+    f = random_step_function(K, random.Random(99), coset_cap=64)
+    key = next(iter(f.values), (0,) * f.length)
+    vals = dict(f.values)
+    vals[key] = vals.get(key, CycScalar.zero(2)) + CycScalar.rational(2, 1)
+    rep = verify_inversion(f, double_transform=StepFunction(
+        K, f.support_bound, f.level, vals))
+    if rep.passed or not rep.witnesses:
+        return False, "corrupted transform was not flagged", 1, {}
+    return True, "corrupted transform rejected with a coset witness", 1, {}
 
 
 # -- the full battery ----------------------------------------------------------------------

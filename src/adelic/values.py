@@ -142,6 +142,26 @@ def is_prime(n: int) -> bool:
     return True
 
 
+_PRIMES = set()  # bases proven prime: a cache of facts, safe to share
+
+
+def _check_bases(bases) -> None:
+    """Raise TypeError on a base that is not an int (a bool included) and
+    ValueError on one that is not prime; otherwise all join _PRIMES."""
+    for p in bases:
+        if type(p) is not int:
+            raise TypeError(f"a prime base must be an int, got {p!r}")
+        if p not in _PRIMES and not is_prime(p):
+            raise ValueError(f"invalid prime base {p}")
+    _PRIMES.update(bases)
+
+
+def _ratio(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d >= 1, without building the Fraction."""
+    g = math.gcd(n, d)
+    return f"{n // g}" if g == d else f"{n // g}/{d // g}"
+
+
 def exact_rational(x):
     """``x``, a number that is to be held exactly.  A float would be taken at
     its binary value and labelled exact, so anything that is not a
@@ -165,14 +185,16 @@ class PosRealExact:
 
     def __init__(self, exponents: Dict[int, Fraction] | None = None):
         exps = exponents or {}
-        if all(type(e) is int for e in exps.values()):
-            n, d = {int(p): e for p, e in exps.items() if e}, 1
+        # a non-int key may equal a proven prime, so the types come first
+        if all(type(p) is type(e) is int for p, e in exps.items()):
+            if not _PRIMES.issuperset(exps):
+                _check_bases(exps)
+            n, d = {p: e for p, e in exps.items() if e}, 1
         else:
-            fr = {int(p): Fraction(exact_rational(e)) for p, e in exps.items()}
+            _check_bases(exps)
+            fr = {p: Fraction(exact_rational(e)) for p, e in exps.items()}
             d = math.lcm(1, *(e.denominator for e in fr.values()))
             n = {p: e.numerator * (d // e.denominator) for p, e in fr.items() if e}
-        if n and min(n) < 2:
-            raise ValueError(f"invalid prime base {min(n)}")
         self._n, self._d = n, d
 
     # -- constructors ------------------------------------------------------
@@ -277,7 +299,7 @@ class PosRealExact:
     def __repr__(self) -> str:
         if not self._n:
             return "1"
-        return " * ".join(f"{p}^{e}" for p, e in sorted(self.exponents.items()))
+        return " * ".join(f"{p}^{_ratio(n, self._d)}" for p, n in sorted(self._n.items()))
 
 
 _ONE = PosRealExact._of({}, 1)
@@ -353,7 +375,8 @@ class LogValue:
         return {"symbolic": sym, "real": self.real, "provenance": prov}
 
     def __repr__(self) -> str:
-        parts = [f"({c})*log{p}" for p, c in sorted(self.coeffs.items())]
+        d = self._x._d
+        parts = [f"({_ratio(n, d)})*log{p}" for p, n in sorted(self._x._n.items())]
         if self.real != 0.0 or not parts:
             parts.append(f"{self.real!r}")
         return " + ".join(parts)

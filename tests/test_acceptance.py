@@ -1,8 +1,13 @@
 """Acceptance battery: one test per criterion, with its stated tolerance
-and runtime budget pinned.  Each prints one pass/fail line."""
+and runtime budget pinned.  Each prints one pass/fail line.
 
-import math
+A check takes its tolerances from the ``verify_*`` defaults or from literals
+in ``adelic.suite``, so each criterion pins its tolerance by recording the
+values that the check's calls run with: a loosened default fails here."""
 
+import inspect
+
+from adelic import suite
 from adelic.suite import (
     check_disc_product,
     check_ff_sections,
@@ -15,6 +20,25 @@ from adelic.suite import (
     check_serre,
     check_theta_oracle,
 )
+
+
+def _record(monkeypatch, name):
+    """Wrap ``suite.<name>``; the returned set gathers, over its calls, the
+    (theta tolerance or None, report tolerance) pairs, defaults applied."""
+    real, seen = getattr(suite, name), set()
+    sig = inspect.signature(real)
+
+    def recording(*args, **kwargs):
+        call = sig.bind(*args, **kwargs)
+        call.apply_defaults()
+        params = call.arguments.get("params")
+        out = real(*args, **kwargs)
+        for rep in out if isinstance(out, list) else [out]:
+            seen.add((params and params.tolerance, rep.tolerance))
+        return out
+
+    monkeypatch.setattr(suite, name, recording)
+    return seen
 
 
 def _require(res, budget_s=None):
@@ -33,9 +57,20 @@ def test_criterion_1_appendix_lemmas_exact():
     _require(check_lemmas(ps=(2, 3, 5), m_range=(-3, 3)), budget_s=10)
 
 
-def test_criterion_2_inversion_formula():
-    # 200 random step functions per field with M, N <= 2; exact; < 30 s
-    _require(check_inversion(seed=1, per_field=200, ps=(2, 3, 5)), budget_s=30)
+def test_criterion_2_inversion_formula(monkeypatch):
+    # 200 random step functions per field with M, N <= 2 and at most 81
+    # cosets, on the 22 local fields over 2, 3 and 5; exact; < 30 s
+    caps = set()
+    real = suite.random_step_function
+
+    def recording(K, rng, coset_cap):
+        caps.add(coset_cap)
+        return real(K, rng, coset_cap=coset_cap)
+
+    monkeypatch.setattr(suite, "random_step_function", recording)
+    res = check_inversion(seed=1, per_field=200, ps=(2, 3, 5))
+    _require(res, budget_s=30)
+    assert caps == {81} and res.checks == 22 * 200
 
 
 def test_criterion_3_discriminant_product_formula():
@@ -45,44 +80,67 @@ def test_criterion_3_discriminant_product_formula():
     _require(check_disc_product(dmax=50))
 
 
-def test_criterion_4_absolute_riemann_roch():
+def test_criterion_4_absolute_riemann_roch(monkeypatch):
     # 1000 random ideles per field on Q, Q(i), Q(sqrt5), Q(sqrt-3),
     # F2(t), F3(t); symbolic equality, real residual < 1e-12; < 5 s
-    _require(check_rr(seed=2, per_field=1000, tol=1e-12), budget_s=5)
+    tols = _record(monkeypatch, "verify_rr")
+    _require(check_rr(seed=2, per_field=1000), budget_s=5)
+    assert tols == {(None, 1e-12)}
 
 
-def test_criterion_5_relative_rr_and_compatibility():
-    # (Q(sqrt5), Q), (Q(i), Q), (y^2 = t^3 - t over F_3, F_3(t))
-    _require(check_rr_relative(seed=3, per_pair=1000, tol=1e-12))
+def test_criterion_5_relative_rr_and_compatibility(monkeypatch):
+    # (Q(sqrt5), Q), (Q(i), Q), (y^2 = t^3 - t over F_3, F_3(t)); both
+    # identities symbolic, real residual < 1e-12
+    tols = _record(monkeypatch, "verify_rr_relative")
+    _require(check_rr_relative(seed=3, per_pair=1000))
+    assert tols == {(None, 1e-12)}
 
 
-def test_criterion_6_serre_duality():
+def test_criterion_6_serre_duality(monkeypatch):
     # |lhs - rhs| < 1e-8 at theta tolerance 1e-10, >= 50 ideles per number
     # field with |log alpha| <= 5 on Q, Q(i), Q(sqrt5), Q(sqrt-3), then
     # Q(sqrt-7), Q(sqrt17) (2 splits), Q(sqrt2), Q(sqrt-2) (2 ramified),
     # and on these four every valuation pair in [-3, 3] at the places above
-    # 2; exact on F2(t), F3(t) with |deg| <= 6; < 60 s
-    _require(check_serre(seed=4, per_field=50, theta_tol=1e-10,
-                         check_tol=1e-8, ff_deg=6), budget_s=60)
+    # 2 (49 + 49 + 7 + 7); exact on F2(t), F3(t) with |deg| <= 6 (2 * 13);
+    # < 60 s
+    tols = _record(monkeypatch, "verify_serre")
+    res = check_serre(seed=4, per_field=50)
+    _require(res, budget_s=60)
+    assert tols == {(1e-10, 1e-8)} and res.checks == 8 * 50 + 112 + 26
 
 
-def test_criterion_7_poisson_summation():
-    # two-sided truncated sums agree < 1e-10: Q across alpha_inf in
-    # {1/4, 1/2, 1, 2, 4}; Q(i), Q(sqrt5), Q(sqrt-7), Q(sqrt17), Q(sqrt2),
-    # Q(sqrt-2) at the trivial idele
-    _require(check_poisson(theta_tol=1e-12, check_tol=1e-10))
+def test_criterion_7_poisson_summation(monkeypatch):
+    # two-sided truncated sums agree < 1e-10 at theta tolerance 1e-12: Q
+    # across alpha_inf in {1/4, 1/2, 1, 2, 4}; Q(i), Q(sqrt5), Q(sqrt-7),
+    # Q(sqrt17), Q(sqrt2), Q(sqrt-2) at the trivial idele
+    tols = _record(monkeypatch, "verify_poisson")
+    res = check_poisson()
+    _require(res)
+    assert tols == {(1e-12, 1e-10)} and res.checks == 11
 
 
 def test_criterion_8_function_field_sections():
-    # closed-form dimension vs brute-force enumeration, q in {2,3},
-    # divisors on <= 3 places with |deg| <= 6, exact
-    _require(check_ff_sections(max_deg=6, coeff_span=2))
+    # closed-form dimension vs brute-force enumeration, q in {2,3}, two
+    # pools of 3 places each, coefficients in [-2, 2] with |deg| <= 6, exact
+    res = check_ff_sections()
+    _require(res)
+    assert res.checks == 488
 
 
-def test_criterion_9_theta_oracle():
-    # h0(Q, trivial) = log theta with the independently summed
-    # theta = 1.0864348112... matching to 1e-10
-    _require(check_theta_oracle(tol=1e-10))
+def test_criterion_9_theta_oracle(monkeypatch):
+    # h0(Q, trivial) at theta tolerance 1e-13 = log theta with the
+    # independently summed theta = 1.0864348112... matching to 1e-10
+    thetas = []
+    real = suite.h0
+
+    def recording(F, alpha, params):
+        thetas.append(params.tolerance)
+        return real(F, alpha, params)
+
+    monkeypatch.setattr(suite, "h0", recording)
+    res = check_theta_oracle()
+    _require(res)
+    assert thetas == [1e-13] and res.detail.endswith("matches to 1e-10")
 
 
 def test_negative_control():

@@ -227,15 +227,36 @@ def test_config_entries_follow_the_verify_kind(tmp_path, capsys):
     assert code == 2 and len(err.strip().splitlines()) == 1
 
 
+# every line of `adelic suite --fast --seed 1` but its runtime_ms: check,
+# checks, detail, extra keys; pass is True and seed 1 on each
+SUITE_FAST_SEED_1 = [
+    ("lemmas", 308, "L1 + indicator transforms exact on 308 cases", {}),
+    ("inversion", 880, "880 random step functions inverted exactly", {}),
+    ("disc-product", 61,
+     "local x global discriminants and Dedekind's different agree for 61 fields", {}),
+    ("rr", 1200, "chi(D) - chi(0) = deg D exact on 1200 ideles", {}),
+    ("rr-rel", 1200, "relative RR + compatibility exact on 1200 checks", {}),
+    ("serre", 234, "234 dualities (worst number-field gap 2.85e-12)",
+     {"worst_gap": 2.8459457013241263e-12}),
+    ("poisson", 11, "two-sided sums agree on 11 configurations", {}),
+    ("ff-sections", 488, "section counts match brute enumeration on 488 divisors", {}),
+    ("theta-oracle", 1, "theta(1) = 1.0864348112 matches to 1e-10",
+     {"theta": 1.086434811213308}),
+    ("negative-control", 1, "corrupted transform rejected with a coset witness", {}),
+]
+
+
 def test_suite_fast(capsys):
     code, out, _ = run(capsys, "suite", "--fast", "--seed", "1", "--output", "json")
     assert code == 0
     objs = json_lines(out)
-    assert objs[-1]["check"] == "summary" and objs[-1]["pass"] is True
-    names = {o["check"] for o in objs}
-    assert {"lemmas", "inversion", "disc-product", "rr", "rr-rel", "serre",
-            "poisson", "ff-sections", "theta-oracle",
-            "negative-control"} <= names
+    assert objs[-1] == {"check": "summary", "pass": True, "passed": 10, "seed": 1,
+                        "total": 10}
+    for obj, (name, checks, detail, extra) in zip(objs[:-1], SUITE_FAST_SEED_1,
+                                                  strict=True):
+        assert obj.pop("runtime_ms") >= 0
+        assert obj == {"check": name, "pass": True, "checks": checks,
+                       "detail": detail, "seed": 1, **extra}
 
 
 @pytest.mark.parametrize("argv", [

@@ -365,7 +365,8 @@ def test_rr_checks_factor_no_integer_after_warm_up(monkeypatch):
 def test_identity_checks_build_no_fraction_after_warm_up(monkeypatch):
     # log #k_v = k log p is a cached (p, k) per place, and exponents are
     # integer numerators over one denominator, so once a field's places and
-    # discriminant are known rr, rr-rel and serre construct no Fraction
+    # discriminant are known rr, rr-rel, serre and poisson construct no
+    # Fraction; poisson's note formats its measure constant from the ints
     from adelic.suite import number_field_roster, relative_pairs, rr_field_roster
 
     calls = []
@@ -383,12 +384,15 @@ def test_identity_checks_build_no_fraction_after_warm_up(monkeypatch):
     runs += [(F, lambda F, al: [verify_serre(F, al)],
               random_idele_bounded(F, rng, bound=5.0))
              for F in number_field_roster() + [F2, F3] for _ in range(20)]
+    runs += [(F, lambda F, al: [verify_poisson(F, al)],
+              random_idele_bounded(F, rng, bound=2.0))
+             for F in number_field_roster() for _ in range(5)]
     for F, check, al in runs:
         check(F, al)  # warm-up: places, discriminants, canonical ideles
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
     passed = [rep.passed for F, check, al in runs for rep in check(F, al)]
     monkeypatch.undo()
-    assert all(passed) and len(passed) == 6 * 200 + 3 * 400 + 6 * 20
+    assert all(passed) and len(passed) == 6 * 200 + 3 * 400 + 6 * 20 + 4 * 5
     assert calls == []
 
 

@@ -347,3 +347,35 @@ def test_one_is_shared():
     assert one is PosRealExact.one() is LogValue.of_real(0.5)._x
     x = PosRealExact({2: Fraction(1, 2)})
     assert x ** 0 is one and (x ** 2).split_rational()[2] is one
+
+
+def test_bases_are_int_primes():
+    # a base is an int prime: 4 is not 2^2 under another name, 6 is not a
+    # prime, and 2.5, 2.0 and True are not ints to be truncated or compared
+    for bad in ({4: 1}, {6: Fraction(1, 2)}, {1: 1}, {0: 1}, {-3: 1}, {9: 0}):
+        with pytest.raises(ValueError):
+            PosRealExact(bad)
+    for bad in ({2.5: 1}, {2.0: 1}, {2.0: Fraction(1, 2)}, {True: 1}, {"2": 1}):
+        with pytest.raises(TypeError):
+            PosRealExact(bad)
+        with pytest.raises(TypeError):
+            LogValue(bad, 0.5)
+    with pytest.raises(ValueError):
+        LogValue({2: 1, 15: 1})
+    with pytest.raises(ValueError):
+        PosRealExact.prime_power(49, 1)
+    big = 10000000000000000051  # a prime past 2^63
+    x = PosRealExact({big: 1, 2: Fraction(-1, 2)})
+    assert x == PosRealExact({2: Fraction(-1, 2), big: 1}) and x.exponents[big] == 1
+    assert hash(PosRealExact({2: 2})) == hash(PosRealExact.from_rational(4))
+
+
+def test_reprs_match_the_fraction_views():
+    # the reprs are read from the integer numerators, as str(Fraction) would be
+    x = PosRealExact({2: Fraction(-3, 2), 3: 1, 5: Fraction(4, 6)})
+    assert x._d == 6
+    assert repr(x) == " * ".join(f"{p}^{e}" for p, e in sorted(x.exponents.items()))
+    assert repr(x) == "2^-3/2 * 3^1 * 5^2/3"
+    v = LogValue(x, 0.25)
+    assert repr(v) == "(-3/2)*log2 + (1)*log3 + (2/3)*log5 + 0.25"
+    assert repr(LogValue({7: -1})) == "(-1)*log7" and repr(LogValue()) == "0.0"
