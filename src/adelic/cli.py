@@ -174,12 +174,12 @@ def parse_idele(field: GlobalFieldDesc, text: str) -> Idele:
                 pls = places_above(field, INFINITY)
                 if not 0 <= idx < len(pls):
                     raise CLIError(f"no infinite place #{idx} on {field.describe()}")
-                fin[pls[idx]] = _parse_int(val, part)
+                dest, value = fin, _parse_int(val, part)
             else:
                 pls = archimedean_places(field)
                 if not 0 <= idx < len(pls):
                     raise CLIError(f"no archimedean place #{idx}")
-                arch[pls[idx]] = _positive_float(val, f"archimedean component {part!r}")
+                dest, value = arch, _positive_float(val, f"archimedean component {part!r}")
         elif sel.startswith("p"):
             body = sel[1:]
             enc, _, idx_s = body.partition("#")
@@ -196,9 +196,12 @@ def parse_idele(field: GlobalFieldDesc, text: str) -> Idele:
                 raise CLIError(f"bad place selector {sel!r}: {exc}")
             if not 0 <= idx < len(pls):
                 raise CLIError(f"no place {sel!r} (only {len(pls)} above)")
-            fin[pls[idx]] = _parse_int(val, part)
+            dest, value = fin, _parse_int(val, part)
         else:
             raise CLIError(f"unknown place selector in {part!r}")
+        if pls[idx] in fin or pls[idx] in arch:
+            raise CLIError(f"place {sel!r} given twice")
+        dest[pls[idx]] = value
     try:
         return Idele.make(field, fin, arch)
     except GlobalFieldError as exc:
@@ -433,7 +436,9 @@ OPTIONS = {
                   default=DEFAULT_PARAMS.tolerance,
                   help=f"theta tolerance (default {DEFAULT_PARAMS.tolerance:g})"),
     "--max-radius": dict(type=lambda t: _positive_float(t, "--max-radius"),
-                         default=DEFAULT_PARAMS.max_radius),
+                         default=DEFAULT_PARAMS.max_radius,
+                         help="cap on theta's rows and terms per row (default "
+                              f"{DEFAULT_PARAMS.max_radius:g})"),
     "--count": dict(type=_count, default=20, help="random cases when no --idele given"),
     "--p": dict(type=int, default=None, help="prime (default: 2, 3 and 5)"),
     "--range": dict(dest="range_", type=parse_range, default=range(-3, 4),

@@ -15,10 +15,11 @@ the dual of alpha's own sections lattice E, which is the lattice of
 alpha^-1 kappa; otherwise alpha is summed directly.  chi is then taken in
 floats from the lattice's scales, and no dual idele is built
 (theta.theta_log_for_idele).  On a sample of ideles up to log-norm 12 the
-dual side never needed more than 49 points where the direct side needed
-up to 8.8 million.  Serre duality and Poisson summation are the
-identities this route rests on, so their checks sum both of their sides
-directly, each on its own idele's lattice (theta.theta_log_direct).
+dual side never needed more than 24 terms of theta's one-dimensional row
+sums where the direct side needed up to about 1,000.  Serre duality and
+Poisson summation are the identities this route rests on, so their checks
+sum both of their sides directly, each on its own idele's lattice
+(theta.theta_log_direct).
 
 The verification routines check, each by two independent routes:
 
@@ -87,7 +88,7 @@ class ThetaParams:
     """Truncation control for theta sums."""
 
     tolerance: float = 1e-10
-    max_radius: float = 4096.0
+    max_radius: float = 4096.0  # caps every theta radius: rows, row half-width, Jacobi terms
 
     def __post_init__(self):
         if self.tolerance <= 0:
@@ -156,9 +157,9 @@ def h0(field: GlobalFieldDesc, alpha: Idele,
     Number fields: a certified lattice theta sum (float remainder), taken
     on the sparser side of the Poisson identity
     h0(alpha) = chi(alpha) + h0(alpha^-1 kappa).  When chi(alpha) > 0 the
-    sections lattice E of alpha is dense (up to ~10^7 points in the box)
+    sections lattice E of alpha is dense (up to ~10^3 row-sum terms)
     and its dual E^-T, the lattice of alpha^-1 kappa, whose chi is
-    -chi(alpha), is sparse (tens of points), so h0 is chi(alpha), in
+    -chi(alpha), is sparse (tens of terms), so h0 is chi(alpha), in
     floats, plus the sum over E^-T; otherwise alpha is summed directly.
     F_q(t): exact, max(0, deg D + 1) * log q.
     """
@@ -167,7 +168,7 @@ def h0(field: GlobalFieldDesc, alpha: Idele,
 
 def h0_with_count(field: GlobalFieldDesc, alpha: Idele,
                   params: ThetaParams) -> tuple[LogValue, int]:
-    """h0 and the number of lattice points summed for it (0 off the theta route)."""
+    """h0 and the number of theta terms summed for it (0 off the theta route)."""
     if field.kind not in (RATIONAL, QUADRATIC) or alpha.field != field:
         return _h0_direct(field, alpha, params)  # raises on an idele of another field
     lt, n = theta_log_for_idele(alpha, params.tolerance, params.max_radius)

@@ -25,10 +25,8 @@ plan once.
 Extremes are settled by the norm before a float lattice is built.  Sparse:
 every nonzero section has ||E x||^2 >= m0, m0 = 2/|alpha| (AM-GM and
 |N(x)| >= N(I)), 1/|alpha|^2 on Q; from log m0 >= 20 every nonzero weight
-underflows, and h0 = 0.0 over one point.  Dense: the smallest eigenvalue of
-G = E^T E is at most covol^(2/n), covol = sqrt|d_K| / |alpha|, and if the
-certified box at that cap passes max_radius, so does the true one.  A
-lattice that is neither, but whose basis leaves double range, is refused.
+underflows, and h0 = 0.0 over one term.  A lattice whose basis or Gram
+entries leave double range is refused.
 
 theta_log_for_idele sums on the sparser side of Poisson summation (Tate's
 thesis, section 4; van der Geer-Schoof 2000):
@@ -41,27 +39,37 @@ sections lattice of kappa alpha^-1 (kappa the canonical idele) up to a
 rotation.  When chi > 0, E is dense and E^-T sparse, and the sum is
 chi + log theta(E^-T), with E^-T = e^chi adj(E)^T built from alpha's own
 rows: no dual idele, no second plan and no determinant in floats.  The
-dual side settles its extremes as above with log |kappa alpha^-1| =
-log |d_K| - log |alpha| (at the sparse exit the sum is chi; the box search
-starts at the cap with covol = |alpha| / sqrt|d_K|), and the eigenvalue
-bound of the reduced E^-T certifies its tail.  theta_log_direct always
+dual side settles its sparse extreme as above with log |kappa alpha^-1| =
+log |d_K| - log |alpha| (there the sum is chi).  theta_log_direct always
 sums E itself: the identity checks use it, so that neither side of
 Poisson summation or Serre duality is derived from the other.
 
-The set-up of a sum works on at most four numbers, so it runs in Python
-floats: Lagrange reduction of the basis and a lower bound on the smallest
-eigenvalue of G, det(E)^2 / lam_max on the reduced basis.  numpy evaluates
-only the sum itself, one np.exp per block of at most BLOCK lattice points.
+The sum runs in Python floats as rows of one-dimensional sums, the
+completion of the square of Fincke-Pohst (Math. Comp. 44, 1985).  Lagrange
+reduction gives a basis u, v with Gram entries C = |u|^2 <= |v|^2 and
+B = u.v, |B| <= C/2; with A' = det^2 / C,
 
-Truncation bound: with lam a lower bound on the smallest eigenvalue of
-G, every coefficient box [-B, B]^n misses at most
+    sum_x exp(-pi A' x^2) theta1(C, x B/C),  theta1(c, s) = sum_n exp(-pi c (n + s)^2),
 
-    n = 1:  2 * S(B)
-    n = 2:  4 * S(B) * (1 + 2*S(0)) + 4 * S(B)^2
+and rank 1 is theta1(e^2, 0).  theta1 is summed directly when c >= 1 and
+through Jacobi's formula c^-1/2 sum_k exp(-pi k^2 / c) cos 2 pi k s when
+c < 1.  That formula is Poisson summation on Z along the one column u, not
+the two-dimensional identity on E that the Serre and Poisson checks test:
+the sum still runs over E's own rows, never over E^-T, so a direct sum
+derives neither side of either identity from the other.
 
-where S(B) = exp(-pi lam (B+1)^2) / (1 - exp(-pi lam (2B+3))) dominates
-the one-dimensional tail by a geometric series.  The bound over-counts the
-true tail by a small constant factor (at most ~4 in the flat regime).
+Certificate: one rule, certified_box(lam, tol, max_radius), the smallest B
+with 2 sum_{n > B} exp(-pi lam n^2) < tol, sets at t = tol/64 the number of
+rows X (lam = A'), a direct row's half-width (lam = C) and the number of
+Jacobi terms (lam = 1/C); the last two depend on C alone, so they are found
+once per sum.  The sum is at least its row x = 0, theta1(C, 0), which
+bounds every row, so rows beyond X miss at most t of it.  A direct row
+misses less than t, under row weights that add up to at most 1.2
+(A' >= 3C/4 >= 3/4); a Jacobi row misses at most c^-1/2 t of at least
+(1 - 2 e^-pi) c^-1/2.  So the log is off by less than 2.3 t.  The rule is
+nearly tight (the first omitted term dominates each tail), hence the small
+share t.  Costs count terms, not lattice points: lattice_points_used and
+the benchmark's theta.points count the summands of the one-dimensional sums.
 """
 
 from __future__ import annotations
@@ -70,8 +78,6 @@ import math
 import sys
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
 
 from .globalfields import (
     INFINITY,
@@ -84,8 +90,6 @@ from .globalfields import (
     omega_embeddings,
     places_above,
 )
-
-BLOCK = 4096  # lattice points per np.exp call; bounds the sum's temporary arrays
 
 Plan = List[Tuple[int, int, int, "Place | None"]]
 
@@ -195,44 +199,38 @@ def _rows(field: GlobalFieldDesc, ideal: FractionalIdeal,
 
 
 def embedding_matrix(field: GlobalFieldDesc, ideal: FractionalIdeal,
-                     arch: Dict[Place, float]) -> np.ndarray:
-    """E as an array (see ``_rows``)."""
-    return np.array(_rows(field, ideal, arch))
+                     arch: Dict[Place, float]) -> "numpy.ndarray":
+    """E as a numpy array (see ``_rows``).  The library sums on Python
+    floats; only the benchmark's reference sum and the tests call this."""
+    import numpy
+
+    return numpy.array(_rows(field, ideal, arch))
 
 
-def _geom_tail(lam: float, B: int) -> float:
-    """Upper bound for sum_{n > B} exp(-pi lam n^2)."""
-    top = math.exp(-math.pi * lam * (B + 1) ** 2)
-    # 1 - exp(-x) through expm1: on dense lattices x falls below 1e-16
-    return top / -math.expm1(-math.pi * lam * (2 * B + 3))
+def certified_box(lam: float, tol: float, max_radius: float) -> int:
+    """The smallest B >= 0 with 2 sum_{n > B} exp(-pi lam n^2) < tol, the
+    tail bounded by the geometric series of ratio exp(-pi lam (2B + 3)).
 
-
-def certified_box(lam: float, rank: int, tol: float, max_radius: float,
-                  start: int = 1) -> int:
-    """Smallest B whose complement misses less than tol of the theta mass.
-
-    The search steps B = 1, 2, ..., B + B // 8; it resumes at ``start``, a
-    step whose predecessors are known to miss too much."""
-    u_bound = 1.0 + 2.0 * _geom_tail(lam, 0)
-    B = start
-    while True:
-        s = _geom_tail(lam, B)
-        miss = 2.0 * s if rank == 1 else 4.0 * s * u_bound + 4.0 * s * s
-        if miss < tol:
+    Every B with (B + 1)^2 <= log(2 / tol) / (pi lam) misses too much in
+    its first omitted term alone, so the search starts just below that root.
+    """
+    log_2_tol = max(0.0, math.log(2.0) - math.log(tol))  # 2 / tol can overflow
+    B = max(0, int(math.sqrt(log_2_tol / (math.pi * lam))) - 1)
+    while B <= max_radius:
+        b = B + 1.0  # a float: (B + 1)^2 as an int can pass double range
+        # 1 - exp(-x) through expm1: on dense lattices x falls below 1e-16
+        tail = math.exp(-math.pi * lam * b * b) / -math.expm1(-math.pi * lam * (2 * b + 1))
+        if 2.0 * tail < tol:
             return B
-        B = B + max(1, B // 8)
-        if B > max_radius:
-            raise RadiusExceeded(
-                f"certified radius exceeds max_radius = {max_radius}")
+        B += 1
+    raise RadiusExceeded(f"certified radius exceeds max_radius = {max_radius}")
 
 
-def _reduce(rows: Sequence[Sequence[float]]) -> Tuple[Sequence[Sequence[float]], float]:
-    """(rows of a Lagrange-reduced basis of the same lattice, lam): lam is a
-    lower bound on the smallest eigenvalue of its Gram matrix, 0.1 % below
-    det(E)^2 / lam_max (a product of eigenvalues over the larger one).
-
-    Reduction and the eigenvalue scale with E, so they run on E/s, s the
-    power of two just above its largest entry (exact, no overflow).
+def _reduce(rows: Sequence[Sequence[float]]) -> Tuple[float, float, float]:
+    """Gram entries (C, B, A') of a Lagrange-reduced basis (u, v), as in the
+    module docstring; rank 1 is (e^2, 0, inf), its one row x = 0.  Reduction
+    scales with E, so it runs on E/s, s the power of two just above its
+    largest entry (exact, no overflow), and the entries are scaled back by s^2.
     """
     flat = [v for row in rows for v in row]
     if not all(map(math.isfinite, flat)):
@@ -241,65 +239,54 @@ def _reduce(rows: Sequence[Sequence[float]]) -> Tuple[Sequence[Sequence[float]],
     s = math.ldexp(1.0, math.frexp(max(map(abs, flat)))[1])
     if len(flat) == 1:
         e = flat[0] / s
-        lam, out = e * e, rows
-    else:
-        (u0, v0), (u1, v1) = [[x / s for x in row] for row in rows]  # columns u, v
-        for _ in range(64):
-            uu, vv = u0 * u0 + u1 * u1, v0 * v0 + v1 * v1
-            if uu > vv:
-                u0, u1, v0, v1, uu = v0, v1, u0, u1, vv
-            if uu == 0.0:
-                raise GlobalFieldError("embedding matrix is singular in double precision")
-            mu = round((u0 * v0 + u1 * v1) / uu)
-            if mu == 0:
-                break
-            v0, v1 = v0 - mu * u0, v1 - mu * u1
-        uu, vv, uv = u0 * u0 + u1 * u1, v0 * v0 + v1 * v1, u0 * v0 + u1 * v1
-        det = u0 * v1 - v0 * u1
-        lam = det * det / ((uu + vv) / 2 + math.hypot((uu - vv) / 2, uv))
-        out = [[u0 * s, v0 * s], [u1 * s, v1 * s]]
-    lam = lam * s * s * 0.999
-    if lam <= 0:
+        return e * e * s * s, 0.0, math.inf
+    (u0, v0), (u1, v1) = [[x / s for x in row] for row in rows]  # columns u, v
+    for _ in range(64):
+        uu, vv = u0 * u0 + u1 * u1, v0 * v0 + v1 * v1
+        if uu > vv:
+            u0, u1, v0, v1, uu = v0, v1, u0, u1, vv
+        if uu == 0.0:
+            raise GlobalFieldError("embedding matrix is singular in double precision")
+        mu = round((u0 * v0 + u1 * v1) / uu)
+        if mu == 0:
+            break
+        v0, v1 = v0 - mu * u0, v1 - mu * u1
+    uu, uv, det = u0 * u0 + u1 * u1, u0 * v0 + u1 * v1, u0 * v1 - v0 * u1
+    if det == 0.0:
         raise GlobalFieldError("embedding matrix is singular in double precision")
-    return out, lam
+    return uu * s * s, uv * s * s, det * det / uu * s * s
 
 
-def _box_sum(rows: Sequence[Sequence[float]], B: int) -> Tuple[float, int]:
-    """(sum of exp(-pi ||E x||^2) over the box [-B, B]^rank, its points).
-
-    One np.exp per block of at most BLOCK points: whole grid rows x, or
-    pieces of one row when it is longer.  Rank 1 is the row x = 0 of a
-    rank-2 box with a zero first column.  A weight whose exponent
-    overflows to inf is exactly 0.
-    """
-    rank = len(rows[0])
-    ys = np.arange(-B, B + 1, dtype=float)
-    xs = ys[:, None] if rank == 2 else np.zeros((1, 1))
-    terms = [((row[0] if rank == 2 else 0.0) * xs, row[-1] * ys) for row in rows]
-    step = max(1, BLOCK // ys.size)
-    total = 0.0
-    with np.errstate(over="ignore"):
-        for i in range(0, len(xs), step):
-            for j in range(0, ys.size, BLOCK):
-                q = sum((ax[i:i + step] + by[j:j + BLOCK]) ** 2 for ax, by in terms)
-                total += float(np.exp(-math.pi * q).sum())
-    return total, ys.size ** rank
+def _theta1(c: float, s: float, R: int) -> float:
+    """theta1(c, s) for s in [0, 1/2], R its certified radius.  When c >= 1
+    it sums every n with |n + s| < R + 1, so both of its tails start beyond
+    R + 1; when c < 1 it sums Jacobi's formula over |k| <= R."""
+    if c >= 1.0:
+        return sum(math.exp(-math.pi * c * (n + s) ** 2) for n in range(-R - 1, R + 1))
+    return (1.0 + 2.0 * sum(math.exp(-math.pi * k * k / c) * math.cos(2.0 * math.pi * k * s)
+                            for k in range(1, R + 1))) / math.sqrt(c)
 
 
-def theta_log_sum(rows: Sequence[Sequence[float]], tol: float, max_radius: float,
-                  start: int = 1) -> Tuple[float, int]:
-    """(log of the lattice Gaussian sum, lattice points evaluated) for E
-    given by its rows in Python floats; the box search resumes at
-    ``start`` (see ``certified_box``).
-
-    The set-up runs in Python floats (``_reduce``): the finiteness check,
-    Lagrange reduction and the eigenvalue bound that certifies the box.
-    numpy sums the (2B + 1)^rank points in blocks (``_box_sum``).
-    """
-    rows, lam = _reduce(rows)
-    B = certified_box(lam, len(rows[0]), tol * 0.25, max_radius, start)
-    total, points = _box_sum(rows, B)
-    return math.log(total), points
+def theta_log_sum(rows: Sequence[Sequence[float]], tol: float,
+                  max_radius: float) -> Tuple[float, int]:
+    """(log of the lattice Gaussian sum, terms evaluated) for E given by its
+    rows in Python floats, as rows of one-dimensional sums (module
+    docstring).  theta1 is even with period 1 in s, so the rows x and -x are
+    summed once, at s reduced into [0, 1/2]."""
+    C, B, A1 = _reduce(rows)
+    if C == math.inf:  # |u|^2 overflows: every nonzero weight underflows
+        return 0.0, 1
+    if not min(C, A1) >= sys.float_info.min:
+        raise GlobalFieldError("the sections lattice leaves double range (a Gram "
+                               "entry underflows)")
+    part = tol / 64  # the share of each of the three truncations (module docstring)
+    X = certified_box(A1, part, max_radius)
+    R = certified_box(C if C >= 1.0 else 1.0 / C, part, max_radius)  # C alone sets it
+    parts = [_theta1(C, 0.0, R)]
+    for x in range(1, X + 1):
+        s = x * B / C
+        parts.append(2.0 * math.exp(-math.pi * A1 * x * x) * _theta1(C, abs(s - round(s)), R))
+    return math.log(math.fsum(parts)), (X + 1) * (2 * R + 2 if C >= 1.0 else R + 1)
 
 
 def _dual(rows: Sequence[Sequence[float]], chi: float) -> List[List[float]]:
@@ -315,7 +302,7 @@ def _dual(rows: Sequence[Sequence[float]], chi: float) -> List[List[float]]:
 
 def _theta_log(alpha: Idele, tol: float, max_radius: float,
                sparser: bool) -> Tuple[float, int]:
-    """(log theta, points) of alpha's sections lattice E, summed on E or,
+    """(log theta, terms) of alpha's sections lattice E, summed on E or,
     with ``sparser`` and chi > 0, as chi + log theta(E^-T)."""
     field = alpha.field
     if field.kind not in (RATIONAL, QUADRATIC):
@@ -334,11 +321,6 @@ def _theta_log(alpha: Idele, tol: float, max_radius: float,
     log_m0 = math.log(2.0) - side - half_log_d if n == 2 else -2.0 * side
     if log_m0 >= 20.0:  # exp(-pi e^20) is 0.0: every nonzero weight underflows
         return (chi if dual else 0.0), 1
-    # the cap is covol^(2/n), covol = e^-side; a cap that underflows stands
-    # for any smaller positive one, and every box below the cap's also misses
-    # too much at the true eigenvalue
-    lam_cap = math.exp(-side * 2 / n)
-    start = certified_box(max(lam_cap, sys.float_info.min), n, tol * 0.25, max_radius)
     if log_cn > math.log(sys.float_info.max) - 1.0:
         raise GlobalFieldError("the sections lattice leaves double range (a skewed idele "
                                "of moderate norm; exact reduction is not implemented)")
@@ -349,14 +331,14 @@ def _theta_log(alpha: Idele, tol: float, max_radius: float,
     else:
         rows = _rows(field, _ideal(field, plan), alpha.arch)
     if not dual:
-        return theta_log_sum(rows, tol, max_radius, start)
-    lt, points = theta_log_sum(_dual(rows, chi), tol, max_radius, start)
-    return chi + lt, points
+        return theta_log_sum(rows, tol, max_radius)
+    lt, terms = theta_log_sum(_dual(rows, chi), tol, max_radius)
+    return chi + lt, terms
 
 
 def theta_log_for_idele(alpha: Idele, tol: float, max_radius: float) -> Tuple[float, int]:
     """(log sum over global sections of the Gaussian weights of an idele,
-    lattice points evaluated), on the sparser side of Poisson summation."""
+    terms evaluated), on the sparser side of Poisson summation."""
     return _theta_log(alpha, tol, max_radius, sparser=True)
 
 

@@ -367,7 +367,8 @@ class LogValue:
 
     def to_json(self, tolerance: float | None = None) -> dict:
         """Schema: symbolic coefficient list, real remainder, provenance tag."""
-        sym = [[p, str(c)] for p, c in sorted(self.coeffs.items())]
+        d = self._x._d
+        sym = [[p, _ratio(n, d)] for p, n in sorted(self._x._n.items())]
         if not self._float:
             prov = "exact-symbolic"
         else:

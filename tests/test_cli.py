@@ -68,6 +68,20 @@ def test_parse_idele_literals():
         parse_idele(Q, "bogus")
 
 
+@pytest.mark.parametrize("field, idele", [
+    ("Q", "p2#0:5,p2#0:7"),
+    ("Q", "p2:5,p2#0:7"),
+    ("Q", "inf#0:2,inf#0:3"),
+    ("Q(sqrt5)", "inf#1:2,p5:1,inf#1:3"),
+    ("Fq(t) q=3", "p3#0:1,p3#0:2"),
+    ("Fq(t) q=3", "inf:1,inf#0:-1"),
+])
+def test_a_place_given_twice_exits_2(capsys, field, idele):
+    code, out, err = run(capsys, "chi", "--field", field, "--idele", idele)
+    assert code == 2 and not out
+    assert len(err.strip().splitlines()) == 1 and "given twice" in err
+
+
 # -- commands --------------------------------------------------------------------------
 
 
@@ -236,8 +250,8 @@ SUITE_FAST_SEED_1 = [
      "local x global discriminants and Dedekind's different agree for 61 fields", {}),
     ("rr", 1200, "chi(D) - chi(0) = deg D exact on 1200 ideles", {}),
     ("rr-rel", 1200, "relative RR + compatibility exact on 1200 checks", {}),
-    ("serre", 234, "234 dualities (worst number-field gap 2.85e-12)",
-     {"worst_gap": 2.8459457013241263e-12}),
+    ("serre", 234, "234 dualities (worst number-field gap 9.04e-13)",
+     {"worst_gap": 9.040043019714616e-13}),
     ("poisson", 11, "two-sided sums agree on 11 configurations", {}),
     ("ff-sections", 488, "section counts match brute enumeration on 488 divisors", {}),
     ("theta-oracle", 1, "theta(1) = 1.0864348112 matches to 1e-10",
@@ -353,6 +367,43 @@ def test_h0_extreme_archimedean_component(capsys, field, idele, h0):
         assert code == 2 and err.strip() and "singular" not in err
     if h0 is not None:
         assert code == 0 and value == h0
+
+
+@pytest.mark.parametrize("check", ["serre", "poisson"])
+@pytest.mark.parametrize("field, idele", [
+    (field, ",".join(f"inf#{i}:{a}" for i in range(places)))
+    for field, places in (("Q", 1), ("Q(i)", 1), ("Q(sqrt5)", 2))
+    for a in ("1e8", "1e150", "1e300", "1e-300")
+])
+def test_identity_checks_extreme_archimedean_component(capsys, check, field, idele):
+    # the identity checks sum both sides directly, the dense one included:
+    # either both sides are finite and agree, or exit 2 with one line
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "verify", check, "--field", field, "--idele", idele,
+                             "--output", "json")
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert "Traceback" not in err
+    if code == 0:
+        rep, = json_lines(out)
+        assert rep["pass"] and not err
+        assert math.isfinite(rep["lhs"]["real"]) and math.isfinite(rep["rhs"]["real"])
+    else:
+        assert code == 2 and len(err.strip().splitlines()) == 1, err
+
+
+def test_cli_path_imports_no_numpy():
+    # the library sums theta in Python floats: h0 and the identity checks
+    # run without loading numpy
+    code = ("import sys, adelic.cli as c; "
+            "assert c.main(['h0', '--field', 'Q(i)', '--idele', 'inf#0:3']) == 0; "
+            "assert c.main(['verify', 'serre', '--count', '3']) == 0; "
+            "print('numpy' in sys.modules)")
+    src = pathlib.Path(adelic.__file__).resolve().parent.parent
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip().splitlines()[-1] == "False"
 
 
 def test_verify_inversion_cli_matches_suite(capsys):

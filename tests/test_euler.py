@@ -42,7 +42,6 @@ from adelic.globalfields import (
     random_idele_bounded,
 )
 from adelic.theta import (
-    BLOCK,
     _reduce,
     certified_box,
     embedding_matrix,
@@ -250,15 +249,25 @@ def test_h0_h1_chi_refuse_an_idele_of_another_field():
                 fn(field, al)
 
 
-def test_identity_checks_sum_both_sides_directly():
-    # on a dense idele h0 takes the sparse dual, but Serre and Poisson must
-    # not, or each identity would hold by construction
+def test_identity_checks_sum_both_sides_directly(monkeypatch):
+    # on a dense idele h0 takes the sparse dual E^-T, but Serre and Poisson
+    # must not, or each identity would hold by construction
+    from adelic import theta
+
+    duals = []
+    real = theta._dual
+
+    def spy(rows, chi):
+        duals.append(chi)
+        return real(rows, chi)
+
+    monkeypatch.setattr(theta, "_dual", spy)
     al = arch_idele(Qi, math.exp(4.0))  # log-norm 8
-    assert h0_with_count(Qi, al, ThetaParams())[1] <= 100
+    assert h0_with_count(Qi, al, ThetaParams())[1] <= 100 and len(duals) == 1
     rep = verify_serre(Qi, al, ThetaParams(tolerance=1e-10), check_tol=1e-8)
-    assert rep.passed and rep.lattice_points_used > 10 ** 4
+    assert rep.passed
     rep = verify_poisson(Qi, al, ThetaParams(tolerance=1e-12), check_tol=1e-10)
-    assert rep.passed and rep.lattice_points_used > 10 ** 4
+    assert rep.passed and len(duals) == 1
 
 
 # -- h1 -----------------------------------------------------------------------------
@@ -366,7 +375,8 @@ def test_identity_checks_build_no_fraction_after_warm_up(monkeypatch):
     # log #k_v = k log p is a cached (p, k) per place, and exponents are
     # integer numerators over one denominator, so once a field's places and
     # discriminant are known rr, rr-rel, serre and poisson construct no
-    # Fraction; poisson's note formats its measure constant from the ints
+    # Fraction; poisson's note and every report's JSON print their exponents
+    # from the ints
     from adelic.suite import number_field_roster, relative_pairs, rr_field_roster
 
     calls = []
@@ -390,8 +400,11 @@ def test_identity_checks_build_no_fraction_after_warm_up(monkeypatch):
     for F, check, al in runs:
         check(F, al)  # warm-up: places, discriminants, canonical ideles
     monkeypatch.setattr(Fraction, "__new__", staticmethod(counting))
-    passed = [rep.passed for F, check, al in runs for rep in check(F, al)]
+    reports = [rep for F, check, al in runs for rep in check(F, al)]
+    for rep in reports:
+        rep.to_json()
     monkeypatch.undo()
+    passed = [rep.passed for rep in reports]
     assert all(passed) and len(passed) == 6 * 200 + 3 * 400 + 6 * 20 + 4 * 5
     assert calls == []
 
@@ -579,15 +592,27 @@ def test_theta_ideal_of_a_deep_split_power_is_fast():
     assert ideal_norm(ideal) == 5 ** 20000 and ideal.den == ideal.c == 1
 
 
-def test_certified_box_resumes_at_the_box_of_a_larger_eigenvalue():
-    # h0 resumes the box search at the box of the covolume cap on the
-    # smallest eigenvalue; below it every box misses too much at lam <= cap
-    for cap in (1e-6, 1e-3, 0.1, 1.0, 10.0):
-        for lam in (cap, cap * 0.999, cap * 1e-3):
-            for rank in (1, 2):
-                start = certified_box(cap, rank, 1e-11, 1e9)
-                assert certified_box(lam, rank, 1e-11, 1e9, start) == \
-                    certified_box(lam, rank, 1e-11, 1e9)
+def two_sided_tail(lam, B, floor):
+    """2 sum_{n > B} exp(-pi lam n^2) in mpmath, up to a term below floor."""
+    total, n = mpmath.mpf(0), B + 1
+    while True:
+        term = mpmath.exp(-mpmath.pi * lam * n * n)
+        total += term
+        if term < floor:
+            return 2 * total
+        n += 1
+
+
+def test_certified_box_bounds_the_tail_against_mpmath():
+    # the one truncation rule: the tail beyond B, summed in mpmath, is below
+    # tol, and one radius less would miss more than tol/4
+    with mpmath.workdps(40):
+        for lam in (1e-6, 1e-3, 0.05, 0.7, 1.0, 4.0, 50.0, 1e4):
+            for tol in (1e-3, 1e-10, 1e-13, 1e-16):
+                B = certified_box(lam, tol, 1e9)
+                assert two_sided_tail(lam, B, tol * 1e-20) < tol, (lam, tol, B)
+                assert B == 0 or two_sided_tail(lam, B - 1, tol * 1e-20) > tol / 4, \
+                    (lam, tol, B)
 
 
 def test_theta_sections_lattice_orientation():
@@ -641,14 +666,12 @@ def test_h0_matches_direct_weighted_sum():
     assert abs(math.exp(float(h0(Qi, al))) - direct) < 1e-10
 
 
-def test_direct_sum_over_several_blocks_matches_weighted_sum():
-    # the direct theta sum evaluates its box in blocks of at most BLOCK
-    # points; the element-by-element oracle sums a wider box in one pass
+def test_dense_direct_sums_match_weighted_sum():
+    # dense lattices summed directly, as the identity checks do: rows of
+    # Jacobi sums against the element-by-element oracle over a wide box
     P3, = places_above(Qm3, 3)
     al = Idele.make(Qm3, {P3: -2}, {places_above(Qm3, INFINITY)[0]: 7.0})
-    value, points = _h0_direct(Qm3, al, ThetaParams())
-    B = math.isqrt(points) // 2
-    assert 64 <= B <= 76 and points > 4 * BLOCK
+    value, _ = _h0_direct(Qm3, al, ThetaParams())
     cols = ideal_basis(ideal_for_idele(al))  # (1/3, 0), (0, 1/3)
     direct = math.fsum(
         arch_weight(Qm3, al, (cols[0][0] * i + cols[1][0] * j,
@@ -656,19 +679,20 @@ def test_direct_sum_over_several_blocks_matches_weighted_sum():
         for i in range(-92, 93) for j in range(-92, 93))
     assert abs(math.log(direct) - float(value)) < 1e-10
 
-    # rank 1: one grid row longer than a block
+    # rank 1
     P5, = places_above(Q, 5)
     al = Idele.make(Q, {P5: -1}, {places_above(Q, INFINITY)[0]: 150.0})
-    value, points = _h0_direct(Q, al, ThetaParams())
-    assert BLOCK < points < 3000 * 2
+    value, _ = _h0_direct(Q, al, ThetaParams())
     direct = math.fsum(arch_weight(Q, al, Fraction(k, 5)) for k in range(-3000, 3001))
     assert abs(math.log(direct) - float(value)) < 1e-10
 
 
-def test_closed_form_least_eigenvalue_is_a_close_lower_bound():
-    # the box is certified by lam = 0.999 det(E)^2 / lam_max on the reduced
-    # basis; against numpy's symmetric eigensolver it must stay below the
-    # least eigenvalue and within 1 % of it, skewed ideles included
+def test_reduced_gram_entries_against_numpy():
+    # the rows are certified through the Gram entries (C, B, A') of the
+    # Lagrange-reduced basis: |B| <= C/2 and C <= 4A'/3 up to rounding, and
+    # C A' = det(E)^2 = det(E^T E) against numpy, skewed ideles included.
+    # A float matrix with kappa = |u| |v| / |det E| knows its determinant
+    # only to about eps kappa, so the comparison widens by 1e-13 kappa.
     rng = random.Random(17)
     fields = [GlobalFieldDesc.quadratic(d)
               for d in (-1, -2, -3, -7, -11, -15, 2, 3, 5, 13, 17, 21)]
@@ -680,7 +704,9 @@ def test_closed_form_least_eigenvalue_is_a_close_lower_bound():
         fin = {pls[0]: v, pls[-1]: -v} if len(pls) == 2 else {pls[0]: v}
         arch = {pl: math.exp(rng.uniform(-3.0, 3.0)) for pl in archimedean_places(F)}
         al = Idele.make(F, fin, arch)
-        rows, lam = _reduce(embedding_matrix(F, ideal_for_idele(al), al.arch))
-        E = np.array(rows, dtype=float)
-        true = float(np.linalg.eigvalsh(E.T @ E).min())
-        assert 0.99 * true <= lam <= true, (al.describe(), lam, true)
+        E = embedding_matrix(F, ideal_for_idele(al), al.arch)
+        C, B, A1 = _reduce(E.tolist())
+        assert 2 * abs(B) <= C and 3 * C <= 4 * A1 * (1 + 1e-15), (al.describe(), C, B, A1)
+        det2 = float(np.linalg.det(E)) ** 2
+        kappa = float(np.prod(np.linalg.norm(E, axis=0))) / math.sqrt(det2)
+        assert abs(C * A1 - det2) <= (1e-9 + 1e-13 * kappa) * det2, (al.describe(), kappa)
