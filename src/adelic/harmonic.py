@@ -16,12 +16,16 @@ Step-function tables likewise never store a zero value.
 
 The transform (:func:`fourier`) runs one pass per digit position, summing
 out one input digit against the output digits it meets, over a table with
-one entry per coset; :func:`verify_inversion` runs its passes and then the
-inverse's, with the conjugate character, over one such table.  Inside, a
-value's coefficients are packed into one int, the numerators over a common
-denominator in fixed-width slots modulo 2^(wD) - 1 (zeta_D -> 2^w), so that
-a root of unity is a shift; each output coset is unpacked once into the
-integer form above.
+one entry per coset; each entry reads one flat row of a plan made once per
+(field, number of digits).  :func:`verify_inversion` runs those passes and
+then the inverse's, with the conjugate character, over one such table.
+Inside, a value's coefficients are packed into one int, the numerators over
+a common denominator in fixed-width slots modulo 2^(wD) - 1
+(zeta_D -> 2^w), so that a root of unity is a shift.  ``fourier`` unpacks
+each output coset once into the integer form above.  ``verify_inversion``
+unpacks none: it compares the round trip with f's own packed values modulo
+Phi_D(2^w), which is exact because w is taken from a bound on their
+difference, and decodes only the cosets that fail, for their witnesses.
 
 Every measure here is a half-integral power of p, and a transform maps a
 function whose values share one measure factor to another such function.
@@ -365,14 +369,24 @@ def transform_shape(field: LocalFieldDesc, M: int, N: int) -> Tuple[int, int]:
 
 
 @lru_cache(maxsize=256)
-def _digit_plan(field: LocalFieldDesc, n: int):
-    """(Dk, diag, twiddles, reversal): the shape-only data of an n-digit
-    transform.  pair[q][a][b] is Dk times the angle of chi(-lift(a) lift(b)
-    pi^(-d-1-q)), symmetric in a and b, and diag = pair[0]; twiddles[t][P][b]
-    is the sum over k < t of pair[t - k][a_k][b] for the output digits
-    P = (a_0, ..., a_(t-1)), in product order, which reversal reverses."""
+def _pass_plan(field: LocalFieldDesc, n: int):
+    """(Dk, bases, passes, reversal): the shape-only data of an n-digit
+    transform.
+
+    pair[q][a][b] is Dk times the angle of chi(-lift(a) lift(b) pi^(-d-1-q)),
+    symmetric in a and b.  Pass t reads entry i = b R^(n-1) + rest, b the
+    input digit it sums out and the last t digits of rest the output digits
+    P = (a_0, ..., a_(t-1)) already found, and adds it to the R entries
+    rest R + a at the angles pair[0][b][a] + sum over k < t of
+    pair[t - k][a_k][b].  So entry i has one flat row in every pass: its
+    output base bases[i] = rest R, the same in each pass, and passes[t][i],
+    those R angles mod Dk, one tuple for each (b, P) shared by the entries
+    that meet it.  Both signs of the kernel read the same rows.  reversal
+    reverses the digits of a product-order index.
+    """
     d = field.different_exponent
     reps = field.residue_reps()
+    R = len(reps)
     kernels = [_kernel_angles(field, -d - 1 - q) for q in range(n)]
     Dk = math.lcm(1, *(r.denominator for A in kernels for r in A))
     # lift(a) lift(b) = a0 b0 + (a0 b1 + a1 b0) theta + a1 b1 theta^2
@@ -382,22 +396,123 @@ def _digit_plan(field: LocalFieldDesc, n: int):
         A0, A1, A2 = [r.numerator * (Dk // r.denominator) for r in A] + [0] * (3 - len(A))
         pair.append([[(a0 * (b0 * A0 + b1 * A1) + a1 * (b0 * A1 + b1 * A2)) % Dk
                       for b0, b1 in lifts] for a0, a1 in lifts])
-    twiddles = []
+    H = R ** n // R
+    passes = []
     for t in range(n):
-        tw = [[0] * len(reps)]
+        tw = [[0] * R]  # tw[P][b], P in product order
         for k in range(t):
             tw = [[x + y for x, y in zip(row, col)] for row in tw for col in pair[t - k]]
-        twiddles.append(tuple(tuple(x % Dk for x in row) for row in tw))
-    reversal = tuple(sum(x * len(reps) ** j for j, x in enumerate(ds))
-                     for ds in itertools.product(range(len(reps)), repeat=n))
+        angles = [[tuple((x + y) % Dk for y in pair[0][b]) for b, x in enumerate(row)]
+                  for row in tw]
+        passes.append(tuple(angles[rest % len(tw)][b]
+                            for b in range(R) for rest in range(H)))
+    bases = tuple(range(0, R * H, R)) * R
+    reversal = tuple(sum(x * R ** j for j, x in enumerate(ds))
+                     for ds in itertools.product(range(R), repeat=n))
     # tuples: the cache hands one result to every caller
-    return Dk, tuple(map(tuple, pair[0])) if n else (), tuple(twiddles), reversal
+    return Dk, bases, tuple(passes), reversal
 
 
-@lru_cache(maxsize=256)
-def _transform_scale(field: LocalFieldDesc, level: int, mf: PosRealExact):
-    """mf * mu(pi^level O_v) as (numerator, denominator, residual measure)."""
-    return (mf * coset_measure(field, level)).split_rational()
+@lru_cache(maxsize=1024)
+def _scales(field: LocalFieldDesc, shape: Tuple[int, int], mf: PosRealExact,
+            rounds: int):
+    """(num, den, residual, shape) after ``rounds`` transforms of a function
+    of the given shape and measure factor: each scales by its mf * mu(pi^N
+    O_v), and their product with the starting mf is num / den * residual."""
+    num = den = 1
+    residual = mf
+    for _ in range(rounds):
+        k, h, residual = (residual * coset_measure(field, shape[1])).split_rational()
+        num, den, shape = num * k, den * h, transform_shape(field, *shape)
+    return num, den, residual, shape
+
+
+def _l1(f: StepFunction, L: int) -> int:
+    """The l1 norm of f's coefficients over the common denominator L."""
+    return sum(L // v.den * sum(map(abs, v.coeffs.values())) for v in f.values.values())
+
+
+def _pack(f: StepFunction, L: int, w: int, D: int) -> Dict[int, int]:
+    """{product-order index of a stored coset: L times its value, packed}:
+    coefficient c_m of zeta_D^m in slot m of w bits (zeta_D -> 2^w)."""
+    index, R = f.field.residue_index, f.field.residue_card
+    out = {}
+    try:
+        for vec, v in f.values.items():
+            i = 0
+            for dg in vec:
+                i = i * R + index[dg]
+            if len(vec) != f.length:  # a short key would alias another coset
+                raise KeyError(vec)
+            ws = w * (D // v.D)
+            out[i] = L // v.den * sum(c << ws * m for m, c in v.coeffs.items())
+    except KeyError:
+        raise HarmonicError(f"{vec} is not a coset of the {(f.support_bound, f.level)} "
+                            f"table of {f.field.describe()}") from None
+    return out
+
+
+def _digit_passes(field: LocalFieldDesc, n: int, packed: Dict[int, int], num: int,
+                  w: int, D: int, signs: Tuple[int, ...]) -> List[int]:
+    """num times the packed table, in product order, after one transform per
+    sign: +1 the kernel chi(-x y), -1 its conjugate chi(+x y).
+
+    Values are ints modulo 2^(wD) - 1, so times zeta_D^j is a shift by w j
+    and a fold; S maps an angle k/Dk to its shift for the sign.  The table
+    is digit-reversed before each transform, so pass t reads b_t as its most
+    significant digit and appends a_t as its least, and the outputs end in
+    product order; zero entries are skipped, so a sparse input costs little
+    until the table fills.
+    """
+    Dk, bases, passes, reversal = _pass_plan(field, n)
+    wD = w * D
+    mod = (1 << wD) - 1
+    unit = w * (D // Dk)  # bits per angle unit 1/Dk
+    T = [0] * len(reversal)
+    for i, x in packed.items():
+        T[reversal[i]] = num * x % mod
+    for r, sgn in enumerate(signs):
+        if r:
+            T = [T[i] for i in reversal]
+        S = [sgn * k * unit % wD for k in range(Dk)]
+        for rows in passes:
+            new = [0] * len(T)
+            for x, j, angles in zip(T, bases, rows):
+                if x:
+                    x = (x & mod) + (x >> wD)
+                    for k in angles:
+                        new[j] += x << S[k]
+                        j += 1
+            T = new
+    return T
+
+
+class _Slots:
+    """Reading a packed value modulo Phi_D(2^w), D >= p a power of p.
+
+    There a value lands in the power basis of Q(zeta_D), its exponents
+    below B = (p-1)D/p, so it is 0 exactly when the element is, as long as
+    every power-basis coefficient is below 2^(w-1) in absolute value: the
+    int sum of c_m 2^(wm) then lies strictly between -Phi and Phi.  Under
+    the same bound the slots, biased by 2^(w-1), decode exactly.
+    """
+
+    __slots__ = ("p", "w", "D", "B", "phi", "half", "bias")
+
+    def __init__(self, p: int, w: int, D: int):
+        self.p, self.w, self.D, self.B = p, w, D, D - D // p
+        self.phi = ((1 << w * D) - 1) // ((1 << w * D // p) - 1)
+        self.half = 1 << (w - 1)
+        self.bias = self.half * (((1 << w * self.B) - 1) // ((1 << w) - 1))
+
+    def decode(self, v: int, den: int, residual: PosRealExact) -> CycScalar | None:
+        """v / den * residual as a scalar; None when it is zero."""
+        z = (v + self.bias) % self.phi
+        if z == self.bias:
+            return None
+        w, half, slot = self.w, self.half, (1 << self.w) - 1
+        work = {m: c for m in range(self.B) if (c := (z >> w * m & slot) - half)}
+        return CycScalar._make(self.p, *_normalize(self.p, self.D, work, den), residual)
 
 
 def fourier(f: StepFunction) -> StepFunction:
@@ -416,76 +531,33 @@ def _transform(f: StepFunction, twice: bool) -> StepFunction:
     Number the n = M + N output digits a_k from the shallowest and the input
     digits b_l from the deepest.  The angle of chi(-x y) is the sum over k, l
     of a_k^T K(-d - 1 + k - l) b_l (K from _kernel_angles), which vanishes
-    for l < k, where chi is trivial.  So pass t sums out b_t against
-    a_0..a_t, Cooley-Tukey on the digit filtration, over a table of one
-    entry per coset.  The table is packed in product order and digit-reversed
-    before each transform, so pass t reads b_t as its most significant digit
-    and appends a_t as its least, and the outputs end in product order; zero
-    entries are skipped, so a sparse input costs little until the table fills.
-    Twice, F^-1 follows at the first's level and residual, its shifts negated.
+    for l < k, where chi is trivial.  So pass t of _digit_passes sums out
+    b_t against a_0..a_t, Cooley-Tukey on the digit filtration.  Twice,
+    F^-1 follows at the first's level and residual, with the conjugate
+    kernel.
 
-    A value is one int modulo 2^(wD) - 1 with coefficient c_m in slot m of
-    w bits (zeta_D -> 2^w): times zeta^j is a shift by w j and a fold.
-    An output is then reduced modulo Phi_D(2^w), the cyclotomic fold, and
-    its slots decode once.  A coefficient there is the difference of two
-    slots, each a signed sum of scaled input coefficients, so it stays
-    within their l1 norm, and with 2^(w-1) above that norm the biased slots
-    decode exactly.  Twice, the slots of each of the R^n middle values sum to
-    at most num1 l1, l1 the input's norm, so w comes from num1 num2 R^n l1;
-    never from the expected f, which would assume the identity checked.
+    The input is packed times its common denominator L and num, the
+    numerators of the rational parts of the mf * mu, and each output is
+    decoded over L times their denominators.  A coefficient there is the
+    difference of two slots, each a signed sum of scaled input coefficients,
+    so it stays within their l1 norm, the bound of _Slots.  Twice, the slots
+    of each of the R^n middle values sum to at most num1 l1, l1 the input's
+    norm, so w comes from num1 num2 R^n l1; never from the expected f.
     """
     field, p, n = f.field, f.field.p, f.length
-    reps = field.residue_reps()
-    R = len(reps)
-    Dk, diag, twiddles, reversal = _digit_plan(field, n)
-    vals = f.values
-    D = math.lcm(p, Dk, *(v.D for v in vals.values()))
-    L = math.lcm(1, *(v.den for v in vals.values()))
-    num, den, residual, shape = 1, L, f.measure_factor, (f.support_bound, f.level)
-    for _ in range(1 + twice):  # the rational part of each mf * mu scales the input
-        k, h, residual = _transform_scale(field, shape[1], residual)
-        num, den, shape = num * k, den * h, transform_shape(field, *shape)
-    l1 = sum(L // v.den * sum(map(abs, v.coeffs.values())) for v in vals.values())
-    w = (num * R ** (n * twice) * l1).bit_length() + 1
-    wD = w * D
-    mod = (1 << wD) - 1
-    T = [0] * R ** n
-    for yvec, v in vals.items():
-        i = sum(reps.index(dg) * R ** k for k, dg in enumerate(reversed(yvec)))
-        ws = w * (D // v.D)
-        T[i] = L // v.den * num * sum(c << ws * m for m, c in v.coeffs.items()) % mod
-
-    H = R ** n // R
-    for sgn in (1, -1)[:1 + twice]:  # F, then F^-1 with the kernel chi(+x y)
-        s = sgn * w * (D // Dk)  # signed bits per angle unit 1/Dk
-        sdiag = [[s * x for x in row] for row in diag]
-        T = [T[i] for i in reversal]
-        for tw in twiddles:
-            stride = len(tw)
-            new = [0] * len(T)
-            for i, x in enumerate(T):
-                if x:
-                    b, rest = divmod(i, H)
-                    x = (x & mod) + (x >> wD)
-                    u = s * tw[rest % stride][b]
-                    base = rest * R
-                    for a, sh in enumerate(sdiag[b]):
-                        new[base + a] += x << (u + sh) % wD
-            T = new
-
-    # modulo Phi_D(2^w), D >= p, a value lands in the power basis of
-    # Q(zeta_D), its exponents below B = (p-1)D/p, so a zero value is 0
-    B = D - D // p
-    phi = mod // ((1 << wD // p) - 1)
-    half = 1 << (w - 1)
-    bias = half * (((1 << w * B) - 1) // ((1 << w) - 1))  # half in each slot < B
-    slot = (1 << w) - 1
+    vals = f.values.values()
+    D = math.lcm(p, _pass_plan(field, n)[0], *(v.D for v in vals))
+    L = math.lcm(1, *(v.den for v in vals))
+    num, den, residual, shape = _scales(field, (f.support_bound, f.level),
+                                        f.measure_factor, 1 + twice)
+    w = (num * field.residue_card ** (n * twice) * _l1(f, L)).bit_length() + 1
+    T = _digit_passes(field, n, _pack(f, L, w, D), num, w, D, (1, -1)[:1 + twice])
+    slots = _Slots(p, w, D)
     out_values: Dict[DigitVec, CycScalar] = {}
-    for xvec, v in zip(itertools.product(reps, repeat=n), T):
-        z = (v + bias) % phi
-        if z != bias:
-            work = {m: c for m in range(B) if (c := (z >> w * m & slot) - half)}
-            out_values[xvec] = CycScalar._make(p, *_normalize(p, D, work, den), residual)
+    for xvec, v in zip(itertools.product(field.residue_reps(), repeat=n), T):
+        x = slots.decode(v, L * den, residual)
+        if x is not None:
+            out_values[xvec] = x
     return StepFunction(field, *shape, out_values)
 
 
@@ -517,24 +589,69 @@ class InversionReport:
 
 def verify_inversion(f: StepFunction,
                      double_transform: StepFunction | None = None) -> InversionReport:
-    """Check F^-1(F f) = f pointwise as exact scalars, on f's own table.
+    """Check F^-1(F f) = f pointwise, exactly, on f's own table.
 
     F^-1 uses the conjugate character chi(+x y), so this is Tate's inversion
-    f^^(x) = f(-x) with no coset negated; ``double_transform`` replaces the
-    round trip made by _transform (negative controls) and needs f's shape.
+    f^^(x) = f(-x) with no coset negated.  The comparison is made on the
+    packed table of _digit_passes, without decoding.  With f's values packed
+    as F_i over their common denominator L, the round trip T_i is L h1 h2
+    times F^-1(F f) at coset i (h1, h2 the denominators of the two
+    transforms' rational scales; the residual measure is f's own), so coset
+    i passes when T_i = h1 h2 F_i modulo Phi_D(2^w).  That test is exact
+    below the bound of _Slots: the slots of T_i sum to at most num R^n l1
+    and F_i's coefficients to l1, so w comes from (num R^n + h1 h2) l1, a
+    bound on the difference, never from f alone, which would assume the
+    identity checked.  Only a failing coset is decoded, for its witness
+    (coset, f there, the round trip there).
+
+    ``double_transform`` replaces the round trip (negative controls).  It
+    needs f's field and shape, and f's measure factor wherever both are
+    nonzero.  Packed as G_i over its own common denominator Lg, it goes
+    through the same comparison, L G_i against Lg F_i, with w from
+    L l1(g) + Lg l1(f).
     """
-    g = double_transform if double_transform is not None else _transform(f, twice=True)
-    if (g.support_bound, g.level) != (f.support_bound, f.level):
-        raise HarmonicError(f"double transform has shape {(g.support_bound, g.level)}, "
-                            f"not {(f.support_bound, f.level)}")
-    keys = f.values.keys() | g.values.keys()
-    zero = CycScalar.zero(f.field.p)
+    field, p, n = f.field, f.field.p, f.length
+    g = double_transform
+    L = math.lcm(1, *(v.den for v in f.values.values()))
+    l1 = _l1(f, L)
+    if g is None:
+        D = math.lcm(p, _pass_plan(field, n)[0], *(v.D for v in f.values.values()))
+        num, q, residual, _ = _scales(field, (f.support_bound, f.level),
+                                      f.measure_factor, 2)
+        w = ((num * field.residue_card ** n + q) * l1).bit_length() + 1
+        F = _pack(f, L, w, D)
+        T = _digit_passes(field, n, F, num, w, D, (1, -1))
+    else:
+        if (g.support_bound, g.level) != (f.support_bound, f.level):
+            raise HarmonicError(f"double transform has shape {(g.support_bound, g.level)}, "
+                                f"not {(f.support_bound, f.level)}")
+        if g.field != field:
+            raise HarmonicError(f"double transform is on {g.field.describe()}, "
+                                f"not {field.describe()}")
+        if g.measure_factor != f.measure_factor and f.values.keys() & g.values.keys():
+            raise HarmonicError(f"incompatible measure factors {f.measure_factor} / "
+                                f"{g.measure_factor}")
+        q = math.lcm(1, *(v.den for v in g.values.values()))
+        D = math.lcm(p, *(v.D for h in (f, g) for v in h.values.values()))
+        w = (L * _l1(g, q) + q * l1).bit_length() + 1
+        F = _pack(f, L, w, D)
+        T = [0] * field.residue_card ** n
+        for i, x in _pack(g, q, w, D).items():
+            T[i] = L * x
+    slots = _Slots(p, w, D)
+    phi = slots.phi
+    bad = [i for i, t in enumerate(T) if t % phi and i not in F]
+    checked = len(F) + len(bad)
+    bad += [i for i, x in F.items() if (T[i] - q * x) % phi]
+    reps, R = field.residue_reps(), field.residue_card
     witnesses = []
-    for k in sorted(keys):
-        lhs, rhs = f.values.get(k, zero), g.values.get(k, zero)
-        if not lhs.eq(rhs):
-            witnesses.append((k, repr(lhs), repr(rhs)))
-    return InversionReport(f.field, not witnesses, len(keys), witnesses)
+    for i in sorted(bad):  # product order: sorted cosets
+        k = tuple(reps[i // R ** (n - 1 - j) % R] for j in range(n))
+        zero = CycScalar.zero(p)
+        rhs = g.values.get(k, zero) if g is not None else \
+            slots.decode(T[i], L * q, residual) or zero
+        witnesses.append((k, repr(f.values.get(k, zero)), repr(rhs)))
+    return InversionReport(field, not witnesses, checked, witnesses)
 
 
 def random_step_function(field: LocalFieldDesc, rng,

@@ -221,11 +221,21 @@ class LocalFieldDesc:
     def base(self) -> "LocalFieldDesc":
         return base_field(self.p, self.base_kind)
 
-    def residue_reps(self) -> Tuple:
-        """Canonical residue digits, lowest lifts first."""
+    @cached_property
+    def _residue_reps(self) -> Tuple:
         if self.f == 1:
             return tuple(range(self.p))
         return tuple((a, b) for a in range(self.p) for b in range(self.p))
+
+    def residue_reps(self) -> Tuple:
+        """Canonical residue digits, lowest lifts first (built once per
+        descriptor)."""
+        return self._residue_reps
+
+    @cached_property
+    def residue_index(self) -> Dict:
+        """Each residue digit's position in residue_reps()."""
+        return {dg: i for i, dg in enumerate(self._residue_reps)}
 
     def describe(self) -> str:
         base = f"Q_{self.p}" if self.base_kind == P_ADIC else f"F_{self.p}((t))"

@@ -470,6 +470,66 @@ def test_inversion_rejects_mismatched_shape():
         verify_inversion(f, double_transform=fourier(f))
 
 
+def test_inversion_rejects_other_field():
+    # Q_3 and F_3((t)) share digits and shapes: f's true round trip,
+    # relabelled onto F_3((t)), is refused like a wrong shape
+    f = random_step_function(base_field(3), random.Random(3), coset_cap=27)
+    g = _transform(f, twice=True)
+    assert verify_inversion(f, double_transform=g).passed
+    other = StepFunction(base_field(3, LAURENT), g.support_bound, g.level, g.values)
+    with pytest.raises(HarmonicError, match="F_3"):
+        verify_inversion(f, double_transform=other)
+
+
+def test_inversion_refuses_keys_off_the_table():
+    # a short key would otherwise pack onto another coset's index
+    K = base_field(3)
+    f = StepFunction(K, 1, 1, {(0, 1): CycScalar.rational(3, 2)})
+    for key in ((1,), (0, 1, 0), (0, 7)):
+        g = StepFunction(K, 1, 1, {key: CycScalar.rational(3, 2)})
+        with pytest.raises(HarmonicError, match="not a coset"):
+            verify_inversion(f, double_transform=g)
+
+
+def test_inversion_refuses_other_measure_factor_where_both_are_nonzero():
+    # the message names f's factor first; with disjoint supports every
+    # stored coset is a witness
+    K = base_field(3)
+    s3 = PosRealExact.prime_power(3, Fraction(1, 2))
+    f = StepFunction(K, 0, 1, {(0,): CycScalar.rational(3, 1)})
+    g = StepFunction(K, 0, 1, {(0,): CycScalar.from_posreal(3, s3)})
+    with pytest.raises(HarmonicError, match=r"incompatible measure factors 1 / 3\^1/2"):
+        verify_inversion(f, double_transform=g)
+    h = StepFunction(K, 0, 1, {(1,): CycScalar.from_posreal(3, s3)})
+    rep = verify_inversion(f, double_transform=h)
+    assert not rep.passed and rep.cosets_checked == 2
+    assert rep.witnesses == [((0,), "(1)e(0)", "0"), ((1,), "0", "[(1)e(0)] * 3^1/2")]
+
+
+def test_inversion_slot_width_is_adversarial():
+    # with slots only as wide as f's own l1 norm asks, w0 bits, the packing
+    # sends zeta_3 to 2^w0, so f and f + (zeta_3 - 2^w0) at one coset pack
+    # to the same int modulo Phi_3(2^w0); the width comes from a bound on
+    # the difference, so the double transform carrying that change fails
+    K = base_field(3)
+    f = StepFunction(K, 1, 1, {(0, 1): CycScalar.rational(3, 5),
+                               (2, 2): CycScalar.rational(3, -7)})
+    w0 = (5 + 7).bit_length() + 1
+    delta = CycScalar(3, {Fraction(1, 3): 1, 0: -2 ** w0})
+    assert delta.coeffs == {1: 1, 0: -2 ** w0}  # zeta_3 - 2^w0, not zero
+    g = StepFunction(K, 1, 1, {**f.values, (0, 1): f.values[(0, 1)] + delta})
+    rep = verify_inversion(f, double_transform=g)
+    assert not rep.passed and rep.cosets_checked == 2
+    assert rep.witnesses == [((0, 1), "(5)e(0)", f"({5 - 2 ** w0})e(0) + (1)e(1/3)")]
+    # the same change on the true round trip, and at a coset f leaves empty
+    g = _transform(f, twice=True)
+    for key in ((0, 1), (1, 0)):
+        vals = dict(g.values)
+        vals[key] = vals.get(key, CycScalar.zero(3)) + delta
+        rep = verify_inversion(f, double_transform=StepFunction(K, 1, 1, vals))
+        assert not rep.passed and [w[0] for w in rep.witnesses] == [key]
+
+
 def test_inversion_negates_no_coset(monkeypatch):
     # F^-1(F f) lands on f's own table, so checking inversion over a seeded
     # criterion-2 pool reflects no coset: no negate_coset call (cache hits
@@ -488,6 +548,32 @@ def test_inversion_negates_no_coset(monkeypatch):
     res = check_inversion(seed=1, per_field=5)
     assert res.passed and res.checks == 5 * len(local_field_roster())
     assert calls == []
+
+
+def test_passing_inversion_decodes_nothing(monkeypatch):
+    # the round trip is compared with f on the packed table: over a seeded
+    # criterion-2 pool no scalar or step function is built for it, and each
+    # report checks exactly f's stored cosets (1,497 over this pool)
+    rng = random.Random(1)
+    pool = [random_step_function(K, rng, coset_cap=81)
+            for K in local_field_roster() for _ in range(20)]
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args, **kwargs):
+            calls.append(fn)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(CycScalar, "_make", classmethod(counted(CycScalar._make.__func__)))
+    monkeypatch.setattr(harmonic, "_normalize", counted(harmonic._normalize))
+    monkeypatch.setattr(StepFunction, "__post_init__", counted(StepFunction.__post_init__))
+    reports = [verify_inversion(f) for f in pool]
+    monkeypatch.undo()
+    assert calls == []
+    assert all(rep.passed and not rep.witnesses for rep in reports)
+    assert [rep.cosets_checked for rep in reports] == [len(f.values) for f in pool]
+    assert sum(rep.cosets_checked for rep in reports) == 1497
 
 
 # -- step function structure -------------------------------------------------------
@@ -658,6 +744,28 @@ def test_double_transform_is_two_transforms():
                 v = reflected[k]
                 assert (u.D, list(u.coeffs.items()), u.den, u.measure_factor) == \
                     (v.D, list(v.coeffs.items()), v.den, v.measure_factor), where
+
+
+@pytest.mark.parametrize("K", ORACLE_FIELDS, ids=lambda K: K.describe())
+def test_inversion_on_dense_functions(K):
+    # every coset stored, coefficients up to 10^30 with all three signs, and
+    # their dense transforms: the packed comparison passes, checking each
+    # stored coset, and fails once one coset is raised by 1
+    rng = random.Random(K.describe())
+    shapes = [(M, N) for M in range(-1, 3) for N in range(-1, 3)
+              if M + N >= 0 and K.residue_card ** (M + N) <= 27]
+    functions = [dense_cyc_step_function(K, rng, M, N, sign)
+                 for M, N in shapes for sign in (0, 1, -1)]
+    functions += [fourier(f) for f in functions]
+    for f in functions:
+        where = (K.describe(), f.support_bound, f.level)
+        rep = verify_inversion(f)
+        assert rep.passed and rep.cosets_checked == len(f.values), where
+        key = next(iter(f.values))
+        vals = {**f.values, key: f.values[key] + CycScalar.rational(K.p, 1).scale_measure(
+            f.measure_factor)}
+        bad = verify_inversion(f, double_transform=StepFunction(K, f.support_bound, f.level, vals))
+        assert not bad.passed and [w[0] for w in bad.witnesses] == [key], where
 
 
 # sha256 of the JSON of the transforms below, recorded when every scalar was
