@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from numbers import Integral
 from typing import Dict, List, Tuple
 
 from . import ffpoly
@@ -82,6 +83,19 @@ class GlobalFieldDesc:
     d: int | None = None          # quadratic number fields
     q: int | None = None          # function fields
     fpoly: Poly | None = None     # hyperelliptic defining polynomial
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.kind, self.d, self.q, self.fpoly))
+
+    def __hash__(self) -> int:
+        # a field keys every place and field cache: hash its fields once per
+        # descriptor, not once per lookup
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        # a str hashes differently in another process
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
 
     # -- constructors --------------------------------------------------------
 
@@ -189,6 +203,18 @@ class Place:
     index: int = 0
     root: int | None = None       # omega root mod p (number-field places)
 
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.field, self.below, self.splitting, self.index, self.root))
+
+    def __hash__(self) -> int:
+        # a place keys every idele component: hash it once, not its field's
+        # tuple on every lookup
+        return self._hash
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_hash"}
+
     @property
     def e(self) -> int:
         return 2 if self.splitting == RAMIFIED else 1
@@ -294,7 +320,7 @@ def places_above(field: GlobalFieldDesc, below) -> List[Place]:
 
 
 @lru_cache(maxsize=None)
-def _places_above(field: GlobalFieldDesc, below) -> Tuple[Place, ...]:
+def _places_above(field: GlobalFieldDesc, below: object) -> Tuple[Place, ...]:
     if field.kind == RATIONAL:
         if below == INFINITY:
             return (Place(field, INFINITY),)
@@ -456,7 +482,11 @@ class Idele:
     @staticmethod
     def make(field: GlobalFieldDesc, finite: Dict[Place, int] | None = None,
              arch: Dict[Place, float] | None = None) -> "Idele":
-        finite = {pl: int(n) for pl, n in (finite or {}).items() if n != 0}
+        finite = finite or {}
+        for pl, n in finite.items():
+            if isinstance(n, bool) or not isinstance(n, Integral):
+                raise GlobalFieldError(f"valuation {n!r} at {pl} is not an integer")
+        finite = {pl: int(n) for pl, n in finite.items() if n != 0}
         arch = {pl: float(a) for pl, a in (arch or {}).items() if a != 1.0}
         for pl in finite:
             if pl.field != field or pl.is_archimedean():

@@ -271,6 +271,13 @@ class StepFunction:
         if self.support_bound + self.level < 0:
             raise HarmonicError(
                 f"support bound {self.support_bound} + level {self.level} < 0")
+        index, n = self.field.residue_index, self.length
+        for vec in self.values:
+            # a short key would alias the cosets refine() pads it into
+            if len(vec) != n or not all(dg in index for dg in vec):
+                raise HarmonicError(f"{vec} is not a coset of the "
+                                    f"{(self.support_bound, self.level)} table of "
+                                    f"{self.field.describe()}")
         values = {k: v for k, v in self.values.items() if v.coeffs}
         object.__setattr__(self, "values", values)
         mf = self.measure_factor
@@ -437,18 +444,12 @@ def _pack(f: StepFunction, L: int, w: int, D: int) -> Dict[int, int]:
     coefficient c_m of zeta_D^m in slot m of w bits (zeta_D -> 2^w)."""
     index, R = f.field.residue_index, f.field.residue_card
     out = {}
-    try:
-        for vec, v in f.values.items():
-            i = 0
-            for dg in vec:
-                i = i * R + index[dg]
-            if len(vec) != f.length:  # a short key would alias another coset
-                raise KeyError(vec)
-            ws = w * (D // v.D)
-            out[i] = L // v.den * sum(c << ws * m for m, c in v.coeffs.items())
-    except KeyError:
-        raise HarmonicError(f"{vec} is not a coset of the {(f.support_bound, f.level)} "
-                            f"table of {f.field.describe()}") from None
+    for vec, v in f.values.items():
+        i = 0
+        for dg in vec:
+            i = i * R + index[dg]
+        ws = w * (D // v.D)
+        out[i] = L // v.den * sum(c << ws * m for m, c in v.coeffs.items())
     return out
 
 
@@ -516,42 +517,32 @@ class _Slots:
 
 
 def fourier(f: StepFunction) -> StepFunction:
-    """The Fourier transform integral f(y) chi(-x y) dy, exactly.
+    """The Fourier transform integral f(y) chi(-x y) dy, exactly: one pack,
+    the digit passes, one decode.
 
     Linear in f; on indicators it reproduces the closed form
-    (#k)^(-m) mu(O) * indicator(-m - d).  Computed by _transform, whose
-    packed digit passes verify_inversion follows with the inverse's.
-    """
-    return _transform(f, twice=False)
-
-
-def _transform(f: StepFunction, twice: bool) -> StepFunction:
-    """fourier(f), or F^-1(fourier(f)) when ``twice``: one pack, one decode.
-
-    Number the n = M + N output digits a_k from the shallowest and the input
-    digits b_l from the deepest.  The angle of chi(-x y) is the sum over k, l
-    of a_k^T K(-d - 1 + k - l) b_l (K from _kernel_angles), which vanishes
-    for l < k, where chi is trivial.  So pass t of _digit_passes sums out
-    b_t against a_0..a_t, Cooley-Tukey on the digit filtration.  Twice,
-    F^-1 follows at the first's level and residual, with the conjugate
-    kernel.
+    (#k)^(-m) mu(O) * indicator(-m - d).  Number the n = M + N output digits
+    a_k from the shallowest and the input digits b_l from the deepest.  The
+    angle of chi(-x y) is the sum over k, l of a_k^T K(-d - 1 + k - l) b_l
+    (K from _kernel_angles), which vanishes for l < k, where chi is trivial.
+    So pass t of _digit_passes sums out b_t against a_0..a_t, Cooley-Tukey
+    on the digit filtration; verify_inversion follows the same passes with
+    the inverse's.
 
     The input is packed times its common denominator L and num, the
-    numerators of the rational parts of the mf * mu, and each output is
-    decoded over L times their denominators.  A coefficient there is the
-    difference of two slots, each a signed sum of scaled input coefficients,
-    so it stays within their l1 norm, the bound of _Slots.  Twice, the slots
-    of each of the R^n middle values sum to at most num1 l1, l1 the input's
-    norm, so w comes from num1 num2 R^n l1; never from the expected f.
+    numerator of the rational part of mf * mu, and each output is decoded
+    over L times its denominator.  A coefficient there is the difference of
+    two slots, each a signed sum of scaled input coefficients, so it stays
+    within their l1 norm, the bound of _Slots.
     """
     field, p, n = f.field, f.field.p, f.length
     vals = f.values.values()
     D = math.lcm(p, _pass_plan(field, n)[0], *(v.D for v in vals))
     L = math.lcm(1, *(v.den for v in vals))
     num, den, residual, shape = _scales(field, (f.support_bound, f.level),
-                                        f.measure_factor, 1 + twice)
-    w = (num * field.residue_card ** (n * twice) * _l1(f, L)).bit_length() + 1
-    T = _digit_passes(field, n, _pack(f, L, w, D), num, w, D, (1, -1)[:1 + twice])
+                                        f.measure_factor, 1)
+    w = (num * _l1(f, L)).bit_length() + 1
+    T = _digit_passes(field, n, _pack(f, L, w, D), num, w, D, (1,))
     slots = _Slots(p, w, D)
     out_values: Dict[DigitVec, CycScalar] = {}
     for xvec, v in zip(itertools.product(field.residue_reps(), repeat=n), T):

@@ -20,7 +20,9 @@ so CRT joins their roots into one r.  The plan alone gives the scales that
 decide extremes, log |alpha| = sum e_v log alpha_v - n log c - log N and
 log c N (c N generates the rationals in I and is the largest basis entry),
 so they are known before c and N are multiplied out.  Each sum builds its
-plan once.
+plan once.  What it needs of the field, n, 1/2 log |d_K| and per infinite
+place e_v and omega's image, is one record made once per field
+(FieldConstants), from which E's rows are built in real arithmetic.
 
 Extremes are settled by the norm before a float lattice is built.  Sparse:
 every nonzero section has ||E x||^2 >= m0, m0 = 2/|alpha| (AM-GM and
@@ -77,7 +79,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from functools import lru_cache
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 from .globalfields import (
     INFINITY,
@@ -180,21 +183,44 @@ def ideal_for_idele(alpha: Idele) -> FractionalIdeal:
 # ---------------------------------------------------------------------------
 
 
+class FieldConstants(NamedTuple):
+    """What a theta sum needs of its field: n, 1/2 log |d_K| and, per
+    infinite place in order, (place, e_v, Re omega, Im omega); omega is 0
+    on Q, whose lattice has the basis 1 alone."""
+
+    degree: int
+    half_log_d: float
+    infinite: Tuple[Tuple[Place, int, float, float], ...]
+
+
+@lru_cache(maxsize=None)
+def _field_constants(field: GlobalFieldDesc) -> FieldConstants:
+    """The FieldConstants of Q or a quadratic field, one per field."""
+    if field.kind not in (RATIONAL, QUADRATIC):
+        raise GlobalFieldError(f"no theta lattice for {field.describe()}")
+    ws = omega_embeddings(field) if field.kind == QUADRATIC else [0j]
+    return FieldConstants(field.degree, 0.5 * math.log(abs(field.disc)),
+                          tuple((pl, pl.e_v, w.real, w.imag)
+                                for pl, w in zip(places_above(field, INFINITY), ws)))
+
+
 def _rows(field: GlobalFieldDesc, ideal: FractionalIdeal,
           arch: Dict[Place, float]) -> List[List[float]]:
     """Rows z / alpha at a real place, sqrt 2 Re z / alpha and sqrt 2 Im z / alpha
-    at a complex one, z the image of a basis column; Q(x) = pi * ||E x||^2."""
+    at a complex one, z = x + y omega the image of a basis column (x, y);
+    Q(x) = pi * ||E x||^2.  The first column is (a, 0), real, so its
+    imaginary entry is 0.0."""
     d = ideal.den
-    cols = ((ideal.a / d, 0.0), (ideal.b / d, ideal.c / d))
+    a, b, c = ideal.a / d, ideal.b / d, ideal.c / d
     rows = []
     root2 = math.sqrt(2.0)
-    for pl, w in zip(places_above(field, INFINITY), omega_embeddings(field)):
+    for pl, e_v, w_re, w_im in _field_constants(field).infinite:
         al = arch.get(pl, 1.0)
-        zs = [complex(x + y * w.real, y * w.imag) for x, y in cols]
-        if pl.e_v == 1:
-            rows.append([z.real / al for z in zs])
+        re = b + c * w_re
+        if e_v == 1:
+            rows.append([a / al, re / al])
         else:
-            rows += [[root2 * z.real / al for z in zs], [root2 * z.imag / al for z in zs]]
+            rows += [[root2 * a / al, root2 * re / al], [0.0, root2 * (c * w_im) / al]]
     return rows
 
 
@@ -305,16 +331,15 @@ def _theta_log(alpha: Idele, tol: float, max_radius: float,
     """(log theta, terms) of alpha's sections lattice E, summed on E or,
     with ``sparser`` and chi > 0, as chi + log theta(E^-T)."""
     field = alpha.field
-    if field.kind not in (RATIONAL, QUADRATIC):
-        raise GlobalFieldError(f"no theta lattice for {field.describe()}")
-    n = field.degree
+    n, half_log_d, infinite = _field_constants(field)
     plan = _plan(alpha)
-    log_norm = math.fsum(pl.e_v * math.log(a) for pl, a in alpha.archimedean_components)
+    arch = alpha.arch
+    # fsum rounds the exact sum, so the order of the places does not matter
+    log_norm = math.fsum(e_v * math.log(arch[pl]) for pl, e_v, _, _ in infinite if pl in arch)
     log_cn = 0.0
     for p, k, j, _ in plan:
         log_norm -= (n * k + j) * math.log(p)
         log_cn += (k + j) * math.log(p)
-    half_log_d = 0.5 * math.log(abs(field.disc))
     chi = log_norm - half_log_d
     dual = sparser and chi > 0.0
     side = -chi if dual else chi  # chi of the summed lattice: chi(kappa alpha^-1) = -chi
@@ -326,10 +351,10 @@ def _theta_log(alpha: Idele, tol: float, max_radius: float,
                                "of moderate norm; exact reduction is not implemented)")
     if field.kind == RATIONAL:
         num, den = _content(plan)
-        pl, = places_above(field, INFINITY)
-        rows = [[num / den / alpha.arch.get(pl, 1.0)]]
+        (pl, _, _, _), = infinite
+        rows = [[num / den / arch.get(pl, 1.0)]]
     else:
-        rows = _rows(field, _ideal(field, plan), alpha.arch)
+        rows = _rows(field, _ideal(field, plan), arch)
     if not dual:
         return theta_log_sum(rows, tol, max_radius)
     lt, terms = theta_log_sum(_dual(rows, chi), tol, max_radius)

@@ -206,6 +206,21 @@ def test_h0_sums_the_sparser_side(field, top):
         assert points == oracle_points, al.describe()
 
 
+# sha256 of float.hex of h0 over the pool below: it pins every bit of the
+# theta route (plan, rows, reduction, certified boxes, row sums)
+H0_BITS_DIGEST = "88f6bdccbb4b35ce0ce8e637c30ac7c49a801611d93bc5bca4e43f7cf0f8e229"
+
+
+def test_h0_bits_digest():
+    h = hashlib.sha256()
+    for F in (Q, Qi, Q5, Qm3):
+        rng = random.Random(f"h0 bits:{F.describe()}")
+        for i in range(200):
+            al = steered_idele(F, rng, 12.0 * (i + rng.random()) / 200)
+            h.update(float(h0(F, al)).hex().encode())
+    assert h.hexdigest() == H0_BITS_DIGEST
+
+
 def test_h0_builds_no_idele_and_one_plan_after_warm_up(monkeypatch):
     # h0 on a dense idele sums E^-T of the idele's own lattice: no dual
     # idele is built and one lattice is planned per h0

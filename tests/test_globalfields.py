@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -129,6 +130,28 @@ def test_place_stores_only_its_defining_data():
         ["field", "below", "splitting", "index", "root"]
     for name in ("FINITE", "REAL", "COMPLEX", "FF_FINITE", "FF_INFINITE"):
         assert not hasattr(adelic.globalfields, name)
+
+
+def test_field_and_place_hashes_are_structural():
+    # a descriptor hashes once, over the fields its equality compares, so a
+    # copy built afresh is the same key of every dict and cache it meets;
+    # a pickled copy carries no hash (a str hashes differently elsewhere)
+    for F, below in ((Q, 5), (Qi, 5), (Q5, INFINITY), (F3, (1, 1)), (HE, INFINITY)):
+        G = GlobalFieldDesc(F.kind, F.d, F.q, F.fpoly)
+        assert G is not F and G == F and hash(G) == hash(F) and {F: 1}[G] == 1
+        cached = places_above(F, below)
+        assert all(a is b for a, b in zip(places_above(G, below), cached))
+        for pl in cached:
+            fresh = Place(G, pl.below, pl.splitting, pl.index, pl.root)
+            assert fresh is not pl and fresh == pl and hash(fresh) == hash(pl)
+            assert {pl: 1}[fresh] == 1 and cached.index(fresh) == pl.index
+            if pl.is_archimedean():
+                assert Idele.make(F, {}, {pl: 2.0}).arch[fresh] == 2.0
+            else:
+                assert Idele.make(F, {pl: 3}).finite[fresh] == 3
+        copy = pickle.loads(pickle.dumps(pl))
+        assert "_hash" not in copy.__dict__ and "_hash" not in copy.field.__dict__
+        assert copy == pl and hash(copy) == hash(pl) and hash(copy.field) == hash(F)
 
 
 def test_place_residue_data_matches_factorization():
@@ -327,6 +350,14 @@ def test_idele_validation():
             Idele.make(Q, {}, {inf: a})      # non-finite archimedean part
     with pytest.raises(GlobalFieldError):
         Idele.make(Q, {}, {inf: 1e-320}).inv()  # 1 / 1e-320 overflows to inf
+    # a valuation is an integer: 1.5 would truncate to 1, and 0.5 to a
+    # stored zero that is not the trivial idele
+    P5i, _ = places_above(Qi, 5)
+    for n in (1.5, 0.5, 2.0, math.nan, True, Fraction(1), "1"):
+        with pytest.raises(GlobalFieldError, match="not an integer"):
+            Idele.make(Qi, {P5i: n})
+    assert Idele.make(Qi, {P5i: 0}) == Idele.trivial(Qi)
+    assert Idele.make(Qi, {P5i: 2}).describe() == "p5#0:2"
 
 
 # -- product formula -------------------------------------------------------------------

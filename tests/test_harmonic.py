@@ -14,7 +14,6 @@ from adelic.harmonic import (
     CycScalar,
     HarmonicError,
     StepFunction,
-    _transform,
     character_coset_integral,
     coset_measure,
     fourier,
@@ -115,6 +114,26 @@ def add(f, g):
 def scale(f, q):
     return StepFunction(f.field, f.support_bound, f.level,
                         {k: v.scale_rational(q) for k, v in f.values.items()})
+
+
+def round_trip(f):
+    """F^-1(F f), decoded from the packed table that verify_inversion
+    compares: the transform's digit passes, then the conjugate kernel's, at
+    the first transform's level and residual.  The slots of each of the R^n
+    middle values sum to at most num1 l1 (l1 the input's norm), so the width
+    comes from num1 num2 R^n l1, never from the expected f."""
+    K, n = f.field, f.length
+    vals = f.values.values()
+    D = math.lcm(K.p, harmonic._pass_plan(K, n)[0], *(v.D for v in vals))
+    L = math.lcm(1, *(v.den for v in vals))
+    num, den, residual, shape = harmonic._scales(K, (f.support_bound, f.level),
+                                                 f.measure_factor, 2)
+    w = (num * K.residue_card ** n * harmonic._l1(f, L)).bit_length() + 1
+    T = harmonic._digit_passes(K, n, harmonic._pack(f, L, w, D), num, w, D, (1, -1))
+    slots = harmonic._Slots(K.p, w, D)
+    decoded = (slots.decode(v, L * den, residual) for v in T)
+    return StepFunction(K, *shape, {k: x for k, x in zip(iter_cosets(f), decoded)
+                                    if x is not None})
 
 
 # -- CycScalar ----------------------------------------------------------------
@@ -449,7 +468,7 @@ def test_inversion_negative_control_report():
     # F^-1(F f) raised by 1; the witness strings are the scalars' repr
     K = base_field(2)
     f = random_step_function(K, random.Random(99), coset_cap=64)
-    g = _transform(f, twice=True)
+    g = round_trip(f)
     key = next(iter(g.values), (0,) * g.length)
     vals = dict(g.values)
     vals[key] = vals.get(key, CycScalar.zero(2)) + CycScalar.rational(2, 1)
@@ -474,7 +493,7 @@ def test_inversion_rejects_other_field():
     # Q_3 and F_3((t)) share digits and shapes: f's true round trip,
     # relabelled onto F_3((t)), is refused like a wrong shape
     f = random_step_function(base_field(3), random.Random(3), coset_cap=27)
-    g = _transform(f, twice=True)
+    g = round_trip(f)
     assert verify_inversion(f, double_transform=g).passed
     other = StepFunction(base_field(3, LAURENT), g.support_bound, g.level, g.values)
     with pytest.raises(HarmonicError, match="F_3"):
@@ -482,13 +501,19 @@ def test_inversion_rejects_other_field():
 
 
 def test_inversion_refuses_keys_off_the_table():
-    # a short key would otherwise pack onto another coset's index
+    # a short key would otherwise pack onto another coset's index, and
+    # refine() would pad (1,) into the real cosets (1, 0), (1, 1), (1, 2):
+    # the table refuses every key off it when it is built
     K = base_field(3)
     f = StepFunction(K, 1, 1, {(0, 1): CycScalar.rational(3, 2)})
-    for key in ((1,), (0, 1, 0), (0, 7)):
-        g = StepFunction(K, 1, 1, {key: CycScalar.rational(3, 2)})
+    for key in ((1,), (0, 1, 0), (0, 7), ((0, 1), 0)):
         with pytest.raises(HarmonicError, match="not a coset"):
-            verify_inversion(f, double_transform=g)
+            verify_inversion(f, double_transform=StepFunction(
+                K, 1, 1, {key: CycScalar.rational(3, 2)}))
+    K9 = quadratic_extension(base_field(3), 0, -2)  # f = 2: a digit is a pair
+    with pytest.raises(HarmonicError, match=r"\(1, 2\) is not a coset of the \(1, 1\)"):
+        StepFunction(K9, 1, 1, {((0, 1), (2, 2)): CycScalar.rational(3, 1),
+                                (1, 2): CycScalar.rational(3, 1)})
 
 
 def test_inversion_refuses_other_measure_factor_where_both_are_nonzero():
@@ -522,7 +547,7 @@ def test_inversion_slot_width_is_adversarial():
     assert not rep.passed and rep.cosets_checked == 2
     assert rep.witnesses == [((0, 1), "(5)e(0)", f"({5 - 2 ** w0})e(0) + (1)e(1/3)")]
     # the same change on the true round trip, and at a coset f leaves empty
-    g = _transform(f, twice=True)
+    g = round_trip(f)
     for key in ((0, 1), (1, 0)):
         vals = dict(g.values)
         vals[key] = vals.get(key, CycScalar.zero(3)) + delta
@@ -734,7 +759,7 @@ def test_double_transform_is_two_transforms():
                       for M, N in shapes for sign in (0, 1, -1)]
         functions += [fourier(f) for f in functions]
         for f in functions:
-            want, got = fourier(fourier(f)), _transform(f, twice=True)
+            want, got = fourier(fourier(f)), round_trip(f)
             where = (K.describe(), f.support_bound, f.level)
             assert (got.support_bound, got.level) == (want.support_bound, want.level), where
             start = -want.support_bound

@@ -163,6 +163,36 @@ def test_benchmark_span_targets_exist():
     assert not missing, f"benchmark span targets missing from adelic: {missing}"
 
 
+def _decorated_with(fn, names):
+    for d in fn.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if (target.attr if isinstance(target, ast.Attribute) else target.id) in names:
+            return True
+    return False
+
+
+def test_no_cache_holds_an_idele():
+    # caches are keyed on fields, places and shapes, never on an idele: a
+    # benchmark that cycles its input pool would then time the cache, not
+    # the computation.  Every parameter of a cached function is annotated,
+    # so that the check sees what it takes
+    keyed, on_idele = [], []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and node.name == "Idele":
+                on_idele += [f.name for f in node.body if isinstance(f, ast.FunctionDef)
+                             and _decorated_with(f, ("cached_property", "lru_cache", "cache"))]
+            elif (isinstance(node, ast.FunctionDef)
+                    and _decorated_with(node, ("lru_cache", "cache"))):
+                a = node.args
+                params = a.posonlyargs + a.args + a.kwonlyargs + [
+                    x for x in (a.vararg, a.kwarg) if x is not None]
+                keyed += [f"{path.stem}.{node.name}({p.arg})" for p in params
+                          if p.annotation is None or "Idele" in _names(p.annotation)]
+    assert not keyed, f"cached on an idele, or unannotated: {keyed}"
+    assert not on_idele, f"Idele caches {on_idele}"
+
+
 def test_only_theta_imports_numpy():
     # numpy serves the theta sum alone; every other layer computes in exact
     # arithmetic or Python floats
